@@ -189,11 +189,12 @@ class CharClassReport:
 def char_class_report(tower) -> CharClassReport:
     tower = validate_tower(tower)
     ring = build_ring(tower, ZZ)
+    wu = wu_classes(tower)
     return CharClassReport(
         total_chern=tangent_chern(tower, ring),
         total_pontrjagin=tangent_pontrjagin(tower, ring),
-        wu=wu_classes(tower),
-        stiefel_whitney=stiefel_whitney(tower),
+        wu=wu,
+        stiefel_whitney=steenrod_square(wu),
     )
 
 

@@ -13,12 +13,11 @@ search is sound but has no completeness guarantee).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .errors import TowerFormatError
 from .ring import BottRing, CohomologyClass, build_ring
 from .scalars import ZZ, ModularDomain
-from .search import iso_search
+from .search import _check_bound, _scan, iso_search
 from .towers import TowerSpec, validate_tower
 
 DIFFEOMORPHIC = "DIFFEOMORPHIC"
@@ -263,19 +262,10 @@ def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
     vector), which makes it invariant under any ring isomorphism.
     """
     ring = build_ring(tower, ModularDomain(modulus))
-    count = 0
-    for vec in iter_product(range(modulus), repeat=ring.height):
-        if not any(vec):
-            continue
-        h = ring.linear_class(vec)
-        if (h * h).is_zero():
-            count += 1
-    return count
+    return len(_scan(ring, {2: ring.one()}, 2, range(modulus)))
 
 
-def classify_3stage(
-    tower, tower_prime, bound: int = 4, backend: str | None = None
-) -> Verdict:
+def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     """Classify two 3-stage Bott towers up to diffeomorphism.
 
     An invariant battery runs first: the content of the first Pontrjagin
@@ -285,6 +275,7 @@ def classify_3stage(
     search for a ring isomorphism decides: a witness certifies a
     diffeomorphism, and exhausting the bound returns UNKNOWN.
     """
+    _check_bound(bound)
     t = validate_tower(tower)
     tp = validate_tower(tower_prime)
     a, b, c = _bott3_params(t)
@@ -304,7 +295,7 @@ def classify_3stage(
                 bound=bound,
             )
 
-    witness = iso_search(build_ring(t, ZZ), build_ring(tp, ZZ), bound, backend)
+    witness = iso_search(build_ring(t, ZZ), build_ring(tp, ZZ), bound)
     if witness is not None:
         return Verdict(DIFFEOMORPHIC, witness=witness, bound=bound)
     return Verdict(UNKNOWN, bound=bound)

@@ -176,13 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "classifiers for generalized Bott towers.",
     )
     parser.add_argument("--json", action="store_true", help="canonical JSON output")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed accepted for reproducibility plumbing; the shipped "
-        "subcommands are deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ring", help="basis, relations and graded ranks of a tower ring")

@@ -41,5 +41,9 @@ class FiltrationError(BottcohError, ValueError):
         self.stage = stage
 
 
+class SearchBoundError(BottcohError, ValueError):
+    """A search bound was negative or not an integer."""
+
+
 class BundleHypothesisError(BottcohError, ValueError):
     """The zero-column reduction was invoked outside its hypotheses."""

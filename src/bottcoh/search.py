@@ -1,12 +1,13 @@
 """Bounded enumeration over degree-2 classes.
 
-Two operations share one scan primitive ("find all small coefficient
-vectors b where a fixed polynomial expression in the class sum b_j y_j
-vanishes"): the square-zero search used by the rational-product criterion,
-and the row-by-row search for unimodular matrices inducing graded ring
-isomorphisms.  Results are deterministic: candidates are enumerated in
-lexicographic order and the first complete witness is returned, which makes
-it the lexicographically smallest one.
+One scan primitive ("find all coefficient vectors b in a box where a fixed
+polynomial expression in the class sum b_j y_j vanishes") serves every
+enumeration over Z, Q and Z/n: the square-zero search used by the
+rational-product criterion, the residue-box square-zero counts of the
+3-stage invariant battery, and the row-by-row search for unimodular
+matrices inducing graded ring isomorphisms.  Results are deterministic:
+candidates are enumerated in lexicographic order and the first complete
+witness is returned, which makes it the lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, lcm
 
-from . import _backend
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, SearchBoundError
 from .linalg import det_int, minors_gcd
 from .ring import (
     BottRing,
@@ -68,13 +68,16 @@ def _expand(ring: BottRing, pieces: dict, tmax: int) -> list[dict]:
     return out
 
 
-def _pure_scan(ring: BottRing, pieces: dict, tmax: int, bound: int):
-    """All nonzero b in [-bound, bound]^m, in lexicographic order, with
+def _scan(ring: BottRing, pieces: dict, tmax: int, values):
+    """All nonzero b in values^m, in lexicographic order, with
     sum_t pieces[t] * (sum_j b_j y_j)^t == 0, found by evaluating the
-    expanded polynomials of :func:`_expand` over the box."""
+    expanded polynomials of :func:`_expand` over the box.
+
+    ``values`` lists the coefficients tried per coordinate, in order: a
+    bounded search passes range(-bound, bound + 1), a count over Z/n passes
+    the residues range(n)."""
     m = ring.height
     mod = ring._mod
-    values = range(-bound, bound + 1)
     polys = _expand(ring, pieces, tmax)
     if not polys:
         return [vec for vec in product(values, repeat=m) if any(vec)]
@@ -115,27 +118,23 @@ def _pure_scan(ring: BottRing, pieces: dict, tmax: int, bound: int):
     return out
 
 
-def _scan(ring: BottRing, pieces: dict, tmax: int, bound: int, backend):
-    mode = _backend.resolve(backend)
-    if mode == "compiled":
-        res = _backend.linear_scan(
-            ring, pieces, tmax, bound, strict=(backend == "compiled")
+def _check_bound(bound) -> range:
+    """Reject a negative or non-integer search bound; otherwise return the
+    per-coordinate values of the box [-bound, bound]."""
+    if not isinstance(bound, int) or bound < 0:
+        raise SearchBoundError(
+            f"coefficient bound must be a nonnegative integer, got {bound!r}"
         )
-        if res is not None:
-            return res
-    return _pure_scan(ring, pieces, tmax, bound)
+    return range(-bound, bound + 1)
 
 
-def square_zero_elements(
-    ring: BottRing, k: int, bound: int, backend: str | None = None
-) -> list[CohomologyClass]:
+def square_zero_elements(ring: BottRing, k: int, bound: int) -> list[CohomologyClass]:
     """All classes sum(b_j y_j), not all b_j zero, |b_j| <= bound, whose k-th
     power vanishes, in lexicographic order over the coefficient vectors."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive integer")
-    if not isinstance(bound, int) or bound < 0:
-        raise ValueError("coefficient bound must be nonnegative")
-    vectors = _scan(ring, {k: ring.one()}, k, bound, backend)
+    values = _check_bound(bound)
+    vectors = _scan(ring, {k: ring.one()}, k, values)
     return [ring.linear_class(v) for v in vectors]
 
 
@@ -153,9 +152,7 @@ def _stage_pieces(source: BottRing, target: BottRing, rows, i: int) -> dict:
     return {t: image_of_terms(target, rows, part) for t, part in split.items()}
 
 
-def iso_search(
-    ring: BottRing, ring_prime: BottRing, bound: int, backend: str | None = None
-) -> IsoWitness | None:
+def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness | None:
     """Search integer matrices with entries in [-bound, bound] for a graded
     ring isomorphism H*(ring') -> H*(ring).
 
@@ -166,6 +163,7 @@ def iso_search(
     A gcd-of-minors prune discards prefixes that cannot complete to a
     unimodular matrix.  Returns the first verified witness, or None.
     """
+    values = _check_bound(bound)
     target, source = ring, ring_prime
     if source.domain != target.domain:
         raise DomainMismatchError("rings must share a coefficient domain")
@@ -186,7 +184,7 @@ def iso_search(
                 return True
             return False
         pieces = _stage_pieces(source, target, rows, depth + 1)
-        candidates = _scan(target, pieces, max(pieces), bound, backend)
+        candidates = _scan(target, pieces, max(pieces), values)
         for row in candidates:
             rows.append(row)
             if minors_gcd(rows, m) == 1 and dfs():

@@ -14,6 +14,8 @@ from itertools import product
 
 import sympy as sp
 
+from bottcoh import ModularDomain, build_ring
+
 
 def sympy_ring_data(tower):
     m = tower.height
@@ -85,13 +87,13 @@ def random_order_reduce(ring, terms, rng) -> dict:
     return out
 
 
-def brute_force_scan(ring, pieces, tmax, bound) -> list:
-    """All nonzero b in [-bound, bound]^m, in lexicographic order, with
+def brute_force_scan(ring, pieces, tmax, values) -> list:
+    """All nonzero b in values^m, in lexicographic order, with
     sum_t pieces[t] * (sum_j b_j y_j)^t == 0, by Horner's rule in the ring."""
     zero = ring.zero()
     piece_list = [pieces.get(t, zero) for t in range(tmax + 1)]
     out = []
-    for vec in product(range(-bound, bound + 1), repeat=ring.height):
+    for vec in product(values, repeat=ring.height):
         if not any(vec):
             continue
         h = ring.linear_class(vec)
@@ -101,3 +103,17 @@ def brute_force_scan(ring, pieces, tmax, bound) -> list:
         if acc.is_zero():
             out.append(vec)
     return out
+
+
+def brute_force_square_zero_count(tower, modulus) -> int:
+    """Number of nonzero residue vectors b in (Z/modulus)^m whose class
+    sum_j b_j y_j squares to zero over Z/modulus, one ring square each."""
+    ring = build_ring(tower, ModularDomain(modulus))
+    count = 0
+    for vec in product(range(modulus), repeat=ring.height):
+        if not any(vec):
+            continue
+        h = ring.linear_class(vec)
+        if (h * h).is_zero():
+            count += 1
+    return count

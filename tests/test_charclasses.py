@@ -7,6 +7,7 @@ from bottcoh import (
     bott_tower_3,
     build_ring,
     char_class_report,
+    charclasses,
     hirzebruch,
     p1_b3,
     product_tower,
@@ -188,6 +189,22 @@ def test_char_class_report_shape():
     assert set(obj) == {"chern", "pontrjagin", "wu", "stiefel_whitney"}
     assert report.total_chern.coefficient((0, 0)) == 1
     assert report.total_pontrjagin == report.total_pontrjagin.ring.one()
+
+
+def test_char_class_report_solves_wu_once(monkeypatch):
+    calls = []
+    original = charclasses.wu_classes
+
+    def counted(tower):
+        calls.append(tower)
+        return original(tower)
+
+    monkeypatch.setattr(charclasses, "wu_classes", counted)
+    towers = [hirzebruch(1), product_tower((2,)), bott_tower_3(1, -2, 3)]
+    reports = [char_class_report(t) for t in towers]
+    assert len(calls) == len(towers)
+    for t, report in zip(towers, reports):
+        assert report.stiefel_whitney == stiefel_whitney(t)
 
 
 def test_verify_pontrjagin_preservation_identity():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bottcoh import hirzebruch, product_tower, validate_tower
+from bottcoh import bott_tower_3, hirzebruch, product_tower, validate_tower
 from bottcoh.cli import canonical_json, main
 
 
@@ -98,6 +98,17 @@ def test_iso_search_command(tower_file, capsys):
     h2 = tower_file("h2.json", hirzebruch(2))
     code, out, _ = run_cli(capsys, "--json", "iso-search", h1, h2, "--bound", "2")
     assert code == 1
+
+
+def test_negative_bound_exit_2(tower_file, capsys):
+    h1 = tower_file("h1.json", hirzebruch(1))
+    code, out, err = run_cli(capsys, "--json", "iso-search", h1, h1, "--bound", "-2")
+    assert (code, out) == (2, "")
+    assert "bound" in err
+    b = tower_file("b.json", bott_tower_3(1, 1, 1))
+    code, out, err = run_cli(capsys, "--json", "classify3", b, b, "--bound", "-1")
+    assert (code, out) == (2, "")
+    assert "bound" in err
 
 
 def test_bundle_trivial_command(tmp_path, capsys):

@@ -9,21 +9,34 @@ from bottcoh import (
     QQ,
     ZZ,
     ModularDomain,
+    SearchBoundError,
     bott_tower_3,
     build_ring,
+    classify_3stage,
     hirzebruch,
     iso_search,
     product_tower,
+    search,
     square_zero_elements,
     validate_tower,
 )
-from bottcoh.search import _pure_scan, _stage_pieces
+from bottcoh.classify import _square_zero_count_mod
+from bottcoh.search import _scan, _stage_pieces
 
 from .conftest import random_tower
-from .oracles import brute_force_scan
-from .test_backends import RINGS
+from .oracles import brute_force_scan, brute_force_square_zero_count
 
 DOMAINS = [ZZ, QQ, GF2, ModularDomain(4)]
+
+RINGS = [
+    hirzebruch(1),
+    hirzebruch(2),
+    bott_tower_3(1, -2, 3),
+    bott_tower_3(0, 1, 1),
+    product_tower((1, 1, 1)),
+    validate_tower([(1, []), (2, [[1], [3]])]),
+    validate_tower([(2, []), (1, [[2]])]),
+]
 
 
 def vectors(classes, m):
@@ -83,6 +96,15 @@ def test_square_zero_argument_validation():
         square_zero_elements(r, 0, 2)
     with pytest.raises(ValueError):
         square_zero_elements(r, 2, -1)
+
+
+def test_negative_bound_rejected_before_any_work():
+    r = build_ring(hirzebruch(1))
+    with pytest.raises(SearchBoundError):
+        iso_search(r, r, -1)
+    # p1 content 2 against 0: DISTINCT without a search, yet still rejected
+    with pytest.raises(SearchBoundError):
+        classify_3stage(bott_tower_3(0, 1, 1), bott_tower_3(0, 0, 0), bound=-1)
 
 
 def test_iso_search_self_returns_witness():
@@ -162,8 +184,9 @@ def test_iso_search_first_witness_is_lex_minimal():
 
 
 def scan_parity(ring, pieces, tmax, bound):
-    expected = brute_force_scan(ring, pieces, tmax, bound)
-    got = _pure_scan(ring, pieces, tmax, bound)
+    values = range(-bound, bound + 1)
+    expected = brute_force_scan(ring, pieces, tmax, values)
+    got = _scan(ring, pieces, tmax, values)
     assert got == expected, (ring, pieces, tmax, bound)
     return got
 
@@ -259,3 +282,32 @@ def test_scan_matches_oracle_on_iso_search_stage_splits(domain):
             if i < m:
                 extended.append(prefixes[0] + [(0,) * m])
             prefixes = extended
+
+
+@pytest.mark.parametrize(
+    "t, tp, bound",
+    [
+        (hirzebruch(1), hirzebruch(3), 3),
+        (hirzebruch(1), hirzebruch(2), 2),
+        (bott_tower_3(1, 1, 1), bott_tower_3(1, -1, -1), 3),
+        (bott_tower_3(2, 0, 1), bott_tower_3(-2, 0, 1), 3),
+        (product_tower((1, 2)), product_tower((2, 1)), 1),
+    ],
+)
+def test_iso_search_matches_oracle_scan(t, tp, bound, monkeypatch):
+    got = iso_search(build_ring(t), build_ring(tp), bound)
+    monkeypatch.setattr(search, "_scan", brute_force_scan)
+    expected = iso_search(build_ring(t), build_ring(tp), bound)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None and got.matrix == expected.matrix
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4])
+def test_square_zero_count_mod_matches_oracle(modulus):
+    for a, b, c in iproduct(range(-3, 4), repeat=3):
+        tower = bott_tower_3(a, b, c)
+        assert _square_zero_count_mod(tower, modulus) == \
+            brute_force_square_zero_count(tower, modulus), (a, b, c, modulus)
+
