@@ -45,5 +45,9 @@ class SearchBoundError(BottcohError, ValueError):
     """A search bound was negative or not an integer."""
 
 
+class ModulusError(BottcohError, ValueError):
+    """A modulus for Z/n was not an integer >= 2."""
+
+
 class BundleHypothesisError(BottcohError, ValueError):
     """The zero-column reduction was invoked outside its hypotheses."""

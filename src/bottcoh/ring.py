@@ -139,37 +139,66 @@ class BottRing:
                 return j
         return None
 
-    def _monomial_nf(self, e):
-        cached = self._nf_cache.get(e)
-        if cached is not None:
-            return cached
-        i = self._overflow_index(e)
-        if i is None:
-            res = {e: self.domain.one}
-            self._nf_cache[e] = res
-            return res
-        n_i = self.dims[i]
-        acc = {}
-        for q in range(1, n_i + 1):
-            cq = self.chern[i][q - 1]
-            if not cq:
-                continue
-            for g, cg in cq.items():
+    def _rewrite_steps(self, e, i):
+        """One rewriting step of y^e, whose y_i-exponent overflows, through
+        y_i^{n_i+1} = -sum_q c_q(xi_i) y_i^{n_i+1-q}: the pairs (f, c) with
+        y^e = -sum c y^f."""
+        steps = []
+        for q in range(1, self.dims[i] + 1):
+            for g, cg in self.chern[i][q - 1].items():
                 ee = list(e)
                 ee[i] -= q
                 for j in range(i):
                     if g[j]:
                         ee[j] += g[j]
-                for mono, coeff in self._monomial_nf(tuple(ee)).items():
-                    acc[mono] = acc.get(mono, 0) - cg * coeff
+                steps.append((tuple(ee), cg))
+        return steps
+
+    def _monomial_nf(self, e):
+        cached = self._nf_cache.get(e)
+        if cached is not None:
+            return cached
+        cache = self._nf_cache
+        if sum(e) > self.top_degree:
+            # the relations are homogeneous, so the ring is zero above its
+            # top degree: no rewriting needed
+            res = cache[e] = {}
+            return res
+        i = self._overflow_index(e)
+        if i is None:
+            res = cache[e] = {e: self.domain.one}
+            return res
         mod = self._mod
-        if mod is not None:
-            res = {k: v % mod for k, v in acc.items()}
-            res = {k: v for k, v in res.items() if v}
-        else:
-            res = {k: v for k, v in acc.items() if v}
-        self._nf_cache[e] = res
-        return res
+        # post-order walk of the rewriting with an explicit stack, so the
+        # length of a reduction chain is not bounded by Python's recursion
+        # limit: a frame is an overflowing monomial with its rewriting
+        # steps, reduced once every monomial it rewrites to is cached
+        stack = [(e, self._rewrite_steps(e, i))]
+        while stack:
+            f, steps = stack[-1]
+            waiting = False
+            for ee, _ in steps:
+                if ee not in cache:
+                    k = self._overflow_index(ee)
+                    if k is None:
+                        cache[ee] = {ee: self.domain.one}
+                    else:
+                        stack.append((ee, self._rewrite_steps(ee, k)))
+                        waiting = True
+            if waiting:
+                continue
+            stack.pop()
+            acc = {}
+            for ee, cg in steps:
+                for mono, coeff in cache[ee].items():
+                    acc[mono] = acc.get(mono, 0) - cg * coeff
+            if mod is not None:
+                res = {k: v % mod for k, v in acc.items()}
+                res = {k: v for k, v in res.items() if v}
+            else:
+                res = {k: v for k, v in acc.items() if v}
+            cache[f] = res
+        return cache[e]
 
     def _raw_add(self, accum: dict, terms: dict) -> dict:
         mod = self._mod

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, ModulusError
 
 
 class Domain:
@@ -103,7 +103,7 @@ class ModularDomain(Domain):
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
-            raise ValueError("modulus must be an integer >= 2")
+            raise ModulusError(f"modulus must be an integer >= 2, got {n!r}")
         self.modulus = n
         self.name = f"Z/{n}"
 

@@ -5,15 +5,26 @@ polynomial expression in the class sum b_j y_j vanishes") serves every
 enumeration over Z, Q and Z/n: the square-zero search used by the
 rational-product criterion, the residue-box square-zero counts of the
 3-stage invariant battery, and the row-by-row search for unimodular
-matrices inducing graded ring isomorphisms.  Results are deterministic:
-candidates are enumerated in lexicographic order and the first complete
-witness is returned, which makes it the lexicographically smallest one.
+matrices inducing graded ring isomorphisms.
+
+The scan expands the expression once into one integer polynomial in b per
+basis monomial and then walks the box depth-first, one coordinate at a
+time.  Fixing b_j substitutes it into the polynomials once for all the
+vectors that share the prefix b_1..b_j (shared substitution), and a
+polynomial that involves no coordinate after b_j is then a constant: a
+nonzero one rejects the whole prefix at once (early rejection).  In a Bott
+tower the coefficient of y_l y_k in h^2 involves b_k and lower coordinates
+only, so most prefixes die well before the last coordinate.
+
+Results are deterministic: candidates are enumerated in lexicographic order
+and the first complete witness is returned, which makes it the
+lexicographically smallest one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import factorial, lcm
 
 from .errors import DomainMismatchError, SearchBoundError
@@ -68,53 +79,99 @@ def _expand(ring: BottRing, pieces: dict, tmax: int) -> list[dict]:
     return out
 
 
+def _plan(polys: list[dict], m: int):
+    """Static plan of the walk over b_1..b_m, made once per scan.
+
+    Entering level j (b_j is the next coordinate, 0-based), a polynomial
+    still in play is held as one coefficient per distinct tail alpha[j:] of
+    its exponent vectors: a slot.  Fixing b_j = v sends the slot of tail
+    (k,) + s to the child's slot of s, times v^k.  A polynomial is settled
+    at the level of the last coordinate it involves: fixing that coordinate
+    leaves a constant.  Every polynomial must involve some coordinate.
+
+    Returns the root's slot coefficients and, per level, ``(checks, spread,
+    width)``: ``checks`` holds, per polynomial settled there, the
+    (slot, k) pairs whose sum of coeff * v^k is its constant; ``spread``
+    holds the (slot, child slot, k) multiply-adds that give the child's
+    coefficients of the rest; ``width`` is the child's number of slots.
+    """
+    last = [max(j for a in poly for j, e in enumerate(a) if e) for poly in polys]
+    terms = [(p, a) for p, poly in enumerate(polys) for a in poly]
+    # built from the last level down, a slot is (k, its child slot) or, at
+    # the settling level, (k, -1 - p): small keys, no tuple slicing
+    slot = [-1 - p for p, _ in terms]
+    levels = []
+    width = 0
+    for j in range(m - 1, -1, -1):
+        index: dict = {}
+        for t, (p, a) in enumerate(terms):
+            if last[p] >= j:
+                slot[t] = index.setdefault((a[j], slot[t]), len(index))
+        checks: dict = {}
+        spread = []
+        for (k, child), s in index.items():
+            if child < 0:
+                checks.setdefault(child, []).append((s, k))
+            else:
+                spread.append((s, child, k))
+        levels.append((list(checks.values()), spread, width))
+        width = len(index)
+    levels.reverse()
+    root = [0] * width
+    for s, c in zip(slot, [c for poly in polys for c in poly.values()]):
+        root[s] = c
+    return root, levels
+
+
 def _scan(ring: BottRing, pieces: dict, tmax: int, values):
     """All nonzero b in values^m, in lexicographic order, with
-    sum_t pieces[t] * (sum_j b_j y_j)^t == 0, found by evaluating the
-    expanded polynomials of :func:`_expand` over the box.
+    sum_t pieces[t] * (sum_j b_j y_j)^t == 0.
 
     ``values`` lists the coefficients tried per coordinate, in order: a
     bounded search passes range(-bound, bound + 1), a count over Z/n passes
-    the residues range(n)."""
+    the residues range(n).
+
+    The polynomials of :func:`_expand` are walked depth-first over the
+    coordinates, with an explicit stack, in the order of ``values`` at each
+    level.  A node is a prefix b_1..b_j with the coefficients of the
+    polynomials still in play after substituting it (see :func:`_plan`);
+    each child costs one multiply-add per slot.  A polynomial settled by
+    the child's coordinate must vanish (mod n over Z/n), else the child and
+    its whole subtree are skipped; once settled it is dropped.  At the last
+    coordinate every remaining polynomial is univariate and settles, so a
+    leaf is a solution exactly when all of them vanish.
+    """
     m = ring.height
     mod = ring._mod
     polys = _expand(ring, pieces, tmax)
-    if not polys:
-        return [vec for vec in product(values, repeat=m) if any(vec)]
-    powers = {v: [v**k for k in range(tmax + 1)] for v in values}
-    # each polynomial as (exponents of b_1..b_{m-1}, exponent of b_m, coeff)
-    split = [[(a[:-1], a[-1], c) for a, c in poly.items()] for poly in polys]
+    if any(len(poly) == 1 and not any(next(iter(poly))) for poly in polys):
+        return []  # a nonzero constant polynomial: no b solves it
+    root, levels = _plan(polys, m)
+    powers = [[v**k for k in range(tmax + 1)] for v in values]
     out = []
-    for prefix in product(values, repeat=m - 1):
-        # substitute the prefix: one univariate polynomial in b_m per basis
-        # monomial; a nonzero constant rules out every b_m for this prefix
-        pw = [powers[v] for v in prefix]
-        univariate = []
-        for terms in split:
-            coeffs = [0] * (tmax + 1)
-            for head, k, c in terms:
-                for p, e in zip(pw, head):
-                    c *= p[e]
-                coeffs[k] += c
-            if mod is not None:
-                coeffs = [c % mod for c in coeffs]
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            if len(coeffs) == 1:
-                break
-            if coeffs:
-                univariate.append(coeffs)
-        else:
-            for v in values:
-                pv = powers[v]
-                for coeffs in univariate:
-                    val = sum(c * p for c, p in zip(coeffs, pv))
-                    if (val if mod is None else val % mod):
-                        break
-                else:
-                    vec = prefix + (v,)
-                    if any(vec):
-                        out.append(vec)
+    stack = [((), root)]
+    while stack:
+        prefix, coeffs = stack.pop()
+        checks, spread, width = levels[len(prefix)]
+        children = []
+        for v, pw in zip(values, powers):
+            for terms in checks:
+                c = 0
+                for i, k in terms:
+                    c += coeffs[i] * pw[k]
+                if (c % mod if mod else c):
+                    break
+            else:
+                vec = prefix + (v,)
+                if len(vec) < m:
+                    child = [0] * width
+                    for i, ci, k in spread:
+                        child[ci] += coeffs[i] * pw[k]
+                    children.append((vec, child))
+                elif any(vec):
+                    out.append(vec)
+        children.reverse()
+        stack += children
     return out
 
 

@@ -111,6 +111,15 @@ def test_negative_bound_exit_2(tower_file, capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("mod", ["0", "1", "-3"])
+def test_invalid_mod_exit_2(tower_file, capsys, mod):
+    h1 = tower_file("h1.json", hirzebruch(1))
+    code, out, err = run_cli(capsys, "--json", "ring", h1, "--mod", mod)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "modulus" in err
+    assert "Traceback" not in err
+
+
 def test_bundle_trivial_command(tmp_path, capsys):
     path = tmp_path / "b.json"
     path.write_text(json.dumps({"base_dims": [1, 1, 1], "exponents": [[1, 0, 0], [-1, 0, 0]]}))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bottcoh import (
     GF2,
     QQ,
+    ZZ,
     DomainMismatchError,
     IsoWitness,
     RingMismatchError,
@@ -72,6 +73,34 @@ def test_normal_form_accepts_out_of_bound_exponents():
     # y2^3 = (-2 y1 y2) y2 = -2 y1 y2^2 = 4 y1^2 y2 = 0
     assert cls.is_zero()
     assert class_terms(cls) == sympy_normal_form(r.tower, {(0, 3): 1})
+
+
+@pytest.mark.parametrize("domain", [ZZ, GF2], ids=str)
+def test_normal_form_of_a_huge_exponent(domain):
+    # __pow__ reduces after every squaring, so it never sees an exponent
+    # above the top degree; from_terms reduces y2^1500 in one go
+    r = build_ring(hirzebruch(1), domain)
+    assert r.from_terms({(0, 1500): 1}) == r.gen(2) ** 1500
+
+
+@pytest.mark.parametrize("domain", [ZZ, GF2], ids=str)
+def test_normal_form_of_a_chain_longer_than_the_recursion_limit(domain):
+    # y_k^2 = -y_{k-1} y_k at every stage: y_50^50 reaches the top class
+    # through 49 + 48 + ... + 1 = 1225 single rewriting steps
+    m = 50
+    tower = validate_tower(
+        [(1, [])] + [(1, [[0] * (k - 2) + [1]]) for k in range(2, m + 1)]
+    )
+    r = build_ring(tower, domain)
+    got = r.from_terms({(0,) * (m - 1) + (m,): 1})
+    assert got == r.gen(m) ** m == -r.from_terms({(1,) * m: 1})
+
+
+def test_normal_form_of_high_exponents_matches_sympy_oracle():
+    tower = validate_tower([(1, []), (2, [[1], [-2]]), (1, [[2, -1]])])
+    terms = {(0, 0, 40): 1, (1, 37, 3): -2, (0, 2, 1): 3, (1, 1, 1): 5}
+    ring = build_ring(tower)
+    assert class_terms(ring.from_terms(terms)) == sympy_normal_form(tower, terms)
 
 
 def test_multiply_examples():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottcoh import (
     GF2,
@@ -29,6 +31,7 @@ from .oracles import brute_force_scan, brute_force_square_zero_count
 DOMAINS = [ZZ, QQ, GF2, ModularDomain(4)]
 
 RINGS = [
+    product_tower((2,)),
     hirzebruch(1),
     hirzebruch(2),
     bott_tower_3(1, -2, 3),
@@ -235,11 +238,26 @@ def test_scan_matches_oracle_with_gaps_in_t(domain):
         {2: y1, 0: y1 * y2 * y3},
         {3: y1, 1: y1 * y2 * y3},
         {4: ring.one(), 1: y1 * y2},
-        # the highest key carries a zero piece
-        {0: y1 * y3, 3: ring.zero()},
     ]
     for pieces in cases:
         scan_parity(ring, pieces, max(pieces), 2)
+    # a nonzero constant polynomial, also behind a zero piece at the
+    # highest key, rules out every vector
+    for pieces in ({0: y1 * y3}, {0: y1 * y3, 3: ring.zero()}):
+        assert scan_parity(ring, pieces, max(pieces), 2) == []
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=str)
+def test_scan_rejects_at_the_first_coordinate(domain):
+    # h y2 y3 = b1 y1 y2 y3 in (CP^1)^3: the only polynomial, b1 - 1,
+    # involves b1 alone and is settled by the first coordinate
+    ring = build_ring(product_tower((1, 1, 1)), domain)
+    y1, y2, y3 = ring.gens()
+    hits = scan_parity(ring, {1: y2 * y3, 0: -(y1 * y2 * y3)}, 1, 2)
+    firsts = {v[0] for v in hits}
+    assert firsts and firsts <= {-1, 1}
+    # every completion b2, b3 of an accepted b1 is a hit
+    assert len(hits) == 25 * len(firsts)
 
 
 def test_scan_matches_oracle_with_rational_pieces():
@@ -304,10 +322,54 @@ def test_iso_search_matches_oracle_scan(t, tp, bound, monkeypatch):
         assert got is not None and got.matrix == expected.matrix
 
 
+HEIGHT_4 = [
+    validate_tower([(1, []), (1, [[2]]), (1, [[1, -1]]), (1, [[0, 1, 1]])]),
+    validate_tower([(1, []), (1, [[1]]), (1, [[2, 0]]), (1, [[-1, 3, 2]])]),
+    validate_tower([(1, []), (2, [[1], [-1]]), (1, [[0, 2]]), (1, [[1, 1, 1]])]),
+]
+
+
 @pytest.mark.parametrize("modulus", [2, 3, 4])
 def test_square_zero_count_mod_matches_oracle(modulus):
-    for a, b, c in iproduct(range(-3, 4), repeat=3):
-        tower = bott_tower_3(a, b, c)
+    towers = [bott_tower_3(a, b, c) for a, b, c in iproduct(range(-3, 4), repeat=3)]
+    for tower in towers + HEIGHT_4:
         assert _square_zero_count_mod(tower, modulus) == \
-            brute_force_square_zero_count(tower, modulus), (a, b, c, modulus)
+            brute_force_square_zero_count(tower, modulus), (tower, modulus)
 
+
+@st.composite
+def scan_cases(draw):
+    """A random tower of height 1 to 4 with fibers <= 2, a domain, the
+    pieces {k: 1} with an optional lower piece that keeps the expression
+    homogeneous, and a bounded or (over Z/n) residue box."""
+    stages = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 2))
+        stages.append((n, [[draw(st.integers(-2, 2)) for _ in range(i)]
+                           for _ in range(n)]))
+    domain = draw(st.sampled_from(
+        [ZZ, QQ, GF2, ModularDomain(3), ModularDomain(4)]))
+    ring = build_ring(validate_tower(stages), domain)
+    k = draw(st.integers(2, 3))
+    pieces = {k: ring.one()}
+    if draw(st.booleans()):
+        t = draw(st.integers(0, k - 1))
+        basis = ring.basis(k - t)
+        if basis:
+            scale = Fraction(1, draw(st.integers(1, 3))) if domain == QQ else 1
+            pieces[t] = ring.from_terms(
+                {e: draw(st.integers(-2, 2)) * scale for e in basis})
+    if domain.modulus is not None and draw(st.booleans()):
+        values = range(domain.modulus)
+    else:
+        bound = draw(st.integers(0, 1 if ring.height == 4 else 2))
+        values = range(-bound, bound + 1)
+    return ring, pieces, k, values
+
+
+@settings(max_examples=120, deadline=None)
+@given(scan_cases())
+def test_scan_matches_oracle_property(case):
+    ring, pieces, tmax, values = case
+    assert _scan(ring, pieces, tmax, values) == \
+        brute_force_scan(ring, pieces, tmax, values)
