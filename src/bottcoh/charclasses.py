@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainMismatchError, FiltrationError, RingMismatchError
+from .errors import DomainMismatchError, RingMismatchError
 from .linalg import solve_mod
 from .ring import (
     BottRing,
@@ -199,13 +199,11 @@ def char_class_report(tower) -> CharClassReport:
 
 
 def verify_pontrjagin_preservation(witness, tower, tower_prime) -> bool:
-    """Check that a filtration-compatible isomorphism carries the total
-    Pontrjagin class of the primed tower to that of the unprimed one.
+    """Check that a verified ring map H*(tower') -> H*(tower) carries the
+    total Pontrjagin class of the primed tower to that of the unprimed one.
 
-    The degree-2 matrix must be triangular for the stage filtration: row i
-    (the image of the i-th primed generator) may only use generators with
-    index <= i.  A FiltrationError names the first stage whose degree-2
-    subspace is not preserved.
+    Any verified map qualifies, whatever its degree-2 matrix; the rings of
+    the witness must present the two given towers.
     """
     rm = witness.ring_map if isinstance(witness, IsoWitness) else witness
     if not isinstance(rm, RingMap) or not rm.verified:
@@ -214,12 +212,6 @@ def verify_pontrjagin_preservation(witness, tower, tower_prime) -> bool:
     tower_prime = validate_tower(tower_prime)
     if rm.source.tower != tower_prime or rm.target.tower != tower:
         raise RingMismatchError("witness rings do not present the given towers")
-    for i, row in enumerate(rm.matrix, start=1):
-        if any(row[i:]):
-            raise FiltrationError(
-                "degree-2 image uses generators above the filtration step",
-                stage=i,
-            )
     p = tangent_pontrjagin(tower, rm.target)
     p_prime = tangent_pontrjagin(tower_prime, rm.source)
     return apply_map(rm, p_prime) == p

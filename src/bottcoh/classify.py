@@ -118,6 +118,7 @@ def is_product_cohomology(tower) -> ProductWitness | ProductObstruction:
     cohomology, and then the tower is a trivial tower of fibrations.
     """
     tower = validate_tower(tower)
+    base = None  # H*(B_{m-1}); H*(B_{i-1}) is its subring on y_1, ..., y_{i-1}
     twists: list[tuple[int, ...]] = []
     for i, stage in enumerate(tower.stages, start=1):
         n = stage.fiber_dim
@@ -131,14 +132,13 @@ def is_product_cohomology(tower) -> ProductWitness | ProductObstruction:
             )
         w = tuple(s // (n + 1) for s in sums)
         if i > 1:
-            base = build_ring(TowerSpec(tower.stages[: i - 1]), ZZ)
-            w_cls = base.linear_class(w)
+            if base is None:
+                base = BottRing(TowerSpec(tower.stages[:-1]), ZZ)
+            pad = (0,) * (base.height - cols)
+            w_cls = base.linear_class(w + pad)
             shifted = base.one()
-            roots = [base.zero()] + [
-                base.linear_class(row) for row in stage.summand_exponents
-            ]
-            for u in roots:
-                shifted = shifted * (base.one() + u - w_cls)
+            for row in ((0,) * cols,) + stage.summand_exponents:
+                shifted = shifted * (base.one() + base.linear_class(row + pad) - w_cls)
             if shifted != base.one():
                 return ProductObstruction(
                     i,

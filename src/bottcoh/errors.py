@@ -27,20 +27,6 @@ class UnverifiedMapError(BottcohError, ValueError):
     """An unverified ring map was applied to a class."""
 
 
-class FiltrationError(BottcohError, ValueError):
-    """A matrix is not triangular with respect to the stage filtration.
-
-    ``stage`` is the first stage index (1-based) whose degree-2 subspace is
-    not preserved.
-    """
-
-    def __init__(self, message, *, stage=None):
-        if stage is not None:
-            message = f"stage {stage}: {message}"
-        super().__init__(message)
-        self.stage = stage
-
-
 class SearchBoundError(BottcohError, ValueError):
     """A search bound was negative or not an integer."""
 

@@ -482,7 +482,7 @@ class CohomologyClass:
 
 def build_ring(tower, domain: Domain = ZZ) -> BottRing:
     """Cohomology ring of a tower over the given coefficient domain."""
-    return BottRing(validate_tower(tower), domain)
+    return BottRing(tower, domain)
 
 
 def normal_form(ring: BottRing, terms) -> CohomologyClass:

@@ -2,9 +2,9 @@
 
 No floating point is used anywhere.  Integers are Python ints, rationals
 are `fractions.Fraction`, and modular values are canonical residues in
-``range(n)``.  Ring arithmetic accumulates with native ``+``/``*`` and calls
-:meth:`Domain.normalize` once per result slot, so only the modular domain
-pays a reduction cost.
+``range(n)``.  Ring arithmetic accumulates with native ``+``/``*`` and
+reduces each result slot mod n only over Z/n, so integers and rationals pay
+no reduction cost.
 """
 
 from __future__ import annotations
@@ -24,14 +24,6 @@ class Domain:
 
     def coerce(self, value):
         """Convert an external value (int, Fraction, decimal string) to a scalar."""
-        raise NotImplementedError
-
-    def normalize(self, value):
-        """Canonicalize a value produced by raw arithmetic."""
-        return value
-
-    def invert(self, value):
-        """Multiplicative inverse; raises DomainMismatchError if not a unit."""
         raise NotImplementedError
 
     def to_str(self, value) -> str:
@@ -63,11 +55,6 @@ class IntegerDomain(Domain):
             return int(value)
         raise DomainMismatchError(f"cannot coerce {value!r} into Z")
 
-    def invert(self, value):
-        if value in (1, -1):
-            return value
-        raise DomainMismatchError(f"{value} is not a unit in Z")
-
 
 class RationalDomain(Domain):
     name = "Q"
@@ -80,17 +67,6 @@ class RationalDomain(Domain):
         if isinstance(value, (int, Fraction, str)):
             return Fraction(value)
         raise DomainMismatchError(f"cannot coerce {value!r} into Q")
-
-    def normalize(self, value):
-        if isinstance(value, Fraction):
-            return value
-        return Fraction(value)
-
-    def invert(self, value):
-        value = Fraction(value)
-        if value == 0:
-            raise DomainMismatchError("0 is not a unit in Q")
-        return 1 / value
 
 
 class ModularDomain(Domain):
@@ -118,9 +94,6 @@ class ModularDomain(Domain):
         if isinstance(value, int):
             return value % self.modulus
         raise DomainMismatchError(f"cannot coerce {value!r} into {self.name}")
-
-    def normalize(self, value):
-        return value % self.modulus
 
     def invert(self, value):
         try:

@@ -92,8 +92,15 @@ class LineBundleSum:
         }
 
 
+def _as_tuple(value, what, stage):
+    try:
+        return tuple(value)
+    except TypeError:
+        raise TowerFormatError(f"{what} {value!r} is not a list", stage=stage) from None
+
+
 def _int_row(row, length, stage):
-    row = tuple(row)
+    row = _as_tuple(row, "summand row", stage)
     if len(row) != length:
         raise TowerFormatError(
             f"summand row has {len(row)} columns, expected {length}", stage=stage
@@ -138,9 +145,9 @@ def validate_tower(raw) -> TowerSpec:
             raise TowerFormatError(
                 f"fiber dimension must be a positive integer, got {n!r}", stage=idx
             )
-        rows = list(rows)
-        if idx == 1 and rows == []:
-            rows = [()] * n  # empty matrix shorthand for the first stage
+        rows = _as_tuple(rows, "exponent matrix", idx)
+        if idx == 1 and rows == ():
+            rows = ((),) * n  # empty matrix shorthand for the first stage
         if len(rows) != n:
             raise TowerFormatError(
                 f"exponent matrix has {len(rows)} rows, expected {n}", stage=idx
@@ -234,27 +241,33 @@ def validate_bundle(raw) -> LineBundleSum:
     return LineBundleSum(base_dims, rows)
 
 
-def tower_from_json(text: str) -> TowerSpec:
+def _json_obj(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise TowerFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return validate_tower(obj)
+
+
+def tower_from_json(text: str) -> TowerSpec:
+    return validate_tower(_json_obj(text))
 
 
 def bundle_from_json(text: str) -> LineBundleSum:
+    return validate_bundle(_json_obj(text))
+
+
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TowerFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return validate_bundle(obj)
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TowerFormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def load_tower(path) -> TowerSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tower_from_json(fh.read())
+    return tower_from_json(_read_text(path))
 
 
 def load_bundle(path) -> LineBundleSum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bundle_from_json(fh.read())
+    return bundle_from_json(_read_text(path))

@@ -161,3 +161,23 @@ def test_malformed_input_exit_2(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "ring", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("ring", json.dumps([{"fiber_dim": 1, "summands": 5}]).encode()),
+        ("ring", json.dumps([{"fiber_dim": 1, "summands": [5]}]).encode()),
+        ("bundle-trivial", json.dumps({"base_dims": [1], "exponents": [5]}).encode()),
+        ("ring", b'{"stages": [\xff]}'),
+        ("bundle-trivial", b"\xc3\x28"),
+    ],
+    ids=["matrix-not-list", "row-not-list", "bundle-row-not-list", "tower-not-utf8", "bundle-not-utf8"],
+)
+def test_malformed_file_exit_2(tmp_path, capsys, command, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "--json", command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err

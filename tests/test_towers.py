@@ -9,9 +9,12 @@ from bottcoh import (
     dualize_stage,
     hirzebruch,
     iso_search,
+    load_bundle,
+    load_tower,
     normalize_stage,
     product_tower,
     tangent_pontrjagin,
+    validate_bundle,
     validate_tower,
 )
 from bottcoh.towers import tower_from_json
@@ -56,6 +59,39 @@ def test_validate_json_form():
 def test_validate_json_position_on_parse_error():
     with pytest.raises(TowerFormatError, match="line 1"):
         tower_from_json("{not json}")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [{"fiber_dim": 1, "summands": 5}],
+        [{"fiber_dim": 1, "summands": [5]}],
+        [(1, []), (1, [7])],
+    ],
+)
+def test_validate_rejects_non_list_matrix_or_row(raw):
+    with pytest.raises(TowerFormatError, match="not a list"):
+        validate_tower(raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"base_dims": [1], "exponents": [5]},
+        {"base_dims": [1], "exponents": 5},
+    ],
+)
+def test_validate_bundle_rejects_non_list_rows(raw):
+    with pytest.raises(TowerFormatError):
+        validate_bundle(raw)
+
+
+@pytest.mark.parametrize("loader", [load_tower, load_bundle])
+def test_load_rejects_undecodable_file(tmp_path, loader):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"stages": [\xff]}')
+    with pytest.raises(TowerFormatError, match="UTF-8"):
+        loader(str(path))
 
 
 def test_normalize_stage_subtracts_first_row():
