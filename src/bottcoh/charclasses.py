@@ -29,6 +29,7 @@ from .ring import (
     RingMap,
     apply_map,
     build_ring,
+    image_of_terms,
 )
 from .scalars import GF2, ZZ
 from .towers import bott_tower_3, validate_tower
@@ -94,31 +95,14 @@ def p1_b3(a: int, b: int, c: int) -> CohomologyClass:
 def steenrod_square(u: CohomologyClass) -> CohomologyClass:
     """Total Steenrod square over Z/2.
 
-    Determined by Sq(y) = y + y^2 on the degree-2 generators, additivity and
-    the Cartan formula, so on a basis monomial Sq(y^e) = y^e prod_j (1 +
-    y_j)^{e_j}.
+    By additivity and the Cartan formula Sq is a ring endomorphism, fixed
+    by Sq(y) = y + y^2 on the degree-2 generators: the substitution
+    y_j -> y_j + y_j^2.
     """
     ring = u.ring
     if ring.domain.modulus != 2:
         raise DomainMismatchError("total squares are defined over Z/2 coefficients")
-    factors: dict[tuple[int, int], CohomologyClass] = {}
-
-    def one_plus_gen_power(j: int, t: int) -> CohomologyClass:
-        key = (j, t)
-        got = factors.get(key)
-        if got is None:
-            got = (ring.one() + ring.gen(j + 1)) ** t
-            factors[key] = got
-        return got
-
-    out = ring.zero()
-    for e, c in u.items():
-        term = CohomologyClass(ring, {e: c})
-        for j, ej in enumerate(e):
-            if ej:
-                term = term * one_plus_gen_power(j, ej)
-        out = out + term
-    return out
+    return image_of_terms(ring, [y + y * y for y in ring.gens()], u._c)
 
 
 def sq_component(u: CohomologyClass, k: int) -> CohomologyClass:
@@ -147,14 +131,11 @@ def wu_classes(tower) -> CohomologyClass:
     for d in range(1, top + 1):  # v component in H^{2d}
         comp = ring.basis(d)
         dual = ring.basis(top - d)
-        if not comp:
-            continue
         rows = []
         rhs = []
         for e in dual:
             x = CohomologyClass(ring, {e: 1})
-            sq_top = steenrod_square(x).homogeneous_part(top)
-            rhs.append(int(ring.integrate(sq_top)))
+            rhs.append(int(ring.integrate(steenrod_square(x))))
             rows.append(
                 [int(ring.integrate(CohomologyClass(ring, {g: 1}) * x)) for g in comp]
             )

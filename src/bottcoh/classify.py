@@ -273,7 +273,8 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     change preserves the gcd of a coefficient vector) and square-zero counts
     over Z/2 and Z/4.  If the battery cannot separate the towers, a bounded
     search for a ring isomorphism decides: a witness certifies a
-    diffeomorphism, and exhausting the bound returns UNKNOWN.
+    diffeomorphism.  When the bound is exhausted, the square-zero count
+    over Z/8 is compared last, and if it agrees too the verdict is UNKNOWN.
     """
     _check_bound(bound)
     t = validate_tower(tower)
@@ -298,4 +299,14 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     witness = iso_search(build_ring(t, ZZ), build_ring(tp, ZZ), bound)
     if witness is not None:
         return Verdict(DIFFEOMORPHIC, witness=witness, bound=bound)
+    # the Z/8 count runs only once the search has failed: most pairs that
+    # reach the search are isomorphic, and they would pay for it
+    count = _square_zero_count_mod(t, 8)
+    count_p = _square_zero_count_mod(tp, 8)
+    if count != count_p:
+        return Verdict(
+            DISTINCT,
+            invariant=("square_zero_count_mod8", count, count_p),
+            bound=bound,
+        )
     return Verdict(UNKNOWN, bound=bound)

@@ -226,17 +226,6 @@ class BottRing:
             return {k: v % mod for k, v in out.items() if v % mod}
         return {k: v for k, v in out.items() if v}
 
-    def _reduce_raw(self, terms: dict) -> dict:
-        out = {}
-        nf = self._monomial_nf
-        for e, c in terms.items():
-            for mono, d in nf(tuple(e)).items():
-                out[mono] = out.get(mono, 0) + c * d
-        mod = self._mod
-        if mod is not None:
-            return {k: v % mod for k, v in out.items() if v % mod}
-        return {k: v for k, v in out.items() if v}
-
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "CohomologyClass":
@@ -290,7 +279,9 @@ class BottRing:
             c = self.domain.coerce(c)
             if c != 0:
                 raw[e] = raw.get(e, self.domain.zero) + c
-        return CohomologyClass(self, self._reduce_raw(raw))
+        return CohomologyClass(
+            self, self._raw_mul(raw, {(0,) * self.height: self.domain.one})
+        )
 
     # -- graded structure ----------------------------------------------------
 
@@ -374,9 +365,6 @@ class CohomologyClass:
         return CohomologyClass(
             self.ring, {e: c for e, c in self._c.items() if sum(e) == d}
         )
-
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self._c), default=0)
 
     # arithmetic --------------------------------------------------------------
 
@@ -582,36 +570,28 @@ class IsoWitness:
         return self.ring_map.to_obj()
 
 
-def image_of_terms(target: BottRing, matrix, terms: dict) -> CohomologyClass:
-    """Substitute y'_j -> sum_k matrix[j][k] y_k into a raw coefficient dict.
+def image_of_terms(target: BottRing, images, terms: dict) -> CohomologyClass:
+    """Image of a raw coefficient dict under the ring homomorphism that
+    sends y'_j to the class ``images[j]`` of ``target``.
 
-    Rows of ``matrix`` beyond the variables that actually occur in ``terms``
-    are never read, which lets searches verify relations stage by stage.
+    Entries of ``images`` beyond the variables that actually occur in
+    ``terms`` are never read, which lets searches verify relations stage by
+    stage.
     """
-    images = {}
-    powers = {}
-
-    def img_power(j, k):
-        key = (j, k)
-        hit = powers.get(key)
-        if hit is None:
-            if j not in images:
-                images[j] = target.linear_class(matrix[j])
-            hit = images[j] ** k
-            powers[key] = hit
-        return hit
-
-    out = target.zero()
+    one = {(0,) * target.height: target.domain.one}
+    mul = target._raw_mul
+    powers: dict[int, list[dict]] = {}  # powers[j][k] = images[j]^k, raw
+    out: dict = {}
     for e, c in terms.items():
-        term = None
+        term = one
         for j, ej in enumerate(e):
             if ej:
-                p = img_power(j, ej)
-                term = p if term is None else term * p
-        if term is None:
-            term = target.one()
-        out = out + term * target.domain.coerce(c)
-    return out
+                chain = powers.setdefault(j, [one])
+                while len(chain) <= ej:
+                    chain.append(mul(chain[-1], images[j]._c))
+                term = chain[ej] if term is one else mul(term, chain[ej])
+        target._raw_add(out, {mono: c * d for mono, d in term.items()})
+    return CohomologyClass(target, out)
 
 
 def verify_map(source: BottRing, target: BottRing, matrix) -> RingMap | None:
@@ -631,9 +611,9 @@ def verify_map(source: BottRing, target: BottRing, matrix) -> RingMap | None:
         raise ValueError(
             f"matrix must be {source.height} x {target.height} for these rings"
         )
+    images = [target.linear_class(row) for row in matrix]
     for i in range(1, source.height + 1):
-        image = image_of_terms(target, matrix, source.relation_terms(i))
-        if not image.is_zero():
+        if not image_of_terms(target, images, source.relation_terms(i)).is_zero():
             return None
     return RingMap(source, target, matrix, verified=True)
 
@@ -644,4 +624,5 @@ def apply_map(rm: RingMap, u: CohomologyClass) -> CohomologyClass:
         raise UnverifiedMapError("refusing to apply an unverified map")
     if not rm.source.compatible(u.ring):
         raise RingMismatchError("class does not live in the map's source ring")
-    return image_of_terms(rm.target, rm.matrix, u._c)
+    images = [rm.target.linear_class(row) for row in rm.matrix]
+    return image_of_terms(rm.target, images, u._c)

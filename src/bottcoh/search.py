@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 from math import factorial, lcm
 
 from .errors import DomainMismatchError, SearchBoundError
-from .linalg import det_int, minors_gcd
+from .linalg import minors_gcd
 from .ring import (
     BottRing,
     CohomologyClass,
@@ -206,7 +206,8 @@ def _stage_pieces(source: BottRing, target: BottRing, rows, i: int) -> dict:
         rest = list(e)
         rest[i - 1] = 0
         split.setdefault(t, {})[tuple(rest)] = c
-    return {t: image_of_terms(target, rows, part) for t, part in split.items()}
+    images = [target.linear_class(row) for row in rows]
+    return {t: image_of_terms(target, images, part) for t, part in split.items()}
 
 
 def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness | None:
@@ -224,8 +225,6 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     target, source = ring, ring_prime
     if source.domain != target.domain:
         raise DomainMismatchError("rings must share a coefficient domain")
-    if source.height != target.height:
-        return None
     if sorted(source.dims) != sorted(target.dims):
         return None
     m = source.height
@@ -236,10 +235,10 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
         nonlocal found
         depth = len(rows)
         if depth == m:
-            if abs(det_int([list(r) for r in rows])) == 1:
-                found = tuple(rows)
-                return True
-            return False
+            # the minors-gcd prune admitted this square matrix, and its
+            # only maximal minor is the determinant: |det| == 1
+            found = tuple(rows)
+            return True
         pieces = _stage_pieces(source, target, rows, depth + 1)
         candidates = _scan(target, pieces, max(pieces), values)
         for row in candidates:

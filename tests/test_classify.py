@@ -209,6 +209,15 @@ def test_classify_3stage_examples():
     assert v.kind == DISTINCT
     assert v.invariant == ("p1_content", 0, 2)
 
+    # p1 content and the Z/2, Z/4 counts agree and no witness exists, but
+    # the Z/8 square-zero counts differ
+    t, tp = bott_tower_3(-4, -2, -3), bott_tower_3(-3, 0, -4)
+    for bound in (4, 12):
+        v = classify_3stage(t, tp, bound=bound)
+        assert v.kind == DISTINCT
+        assert v.invariant == ("square_zero_count_mod8", 79, 63)
+        assert v.bound == bound
+
 
 def test_classify_3stage_requires_bott():
     with pytest.raises(TowerFormatError):

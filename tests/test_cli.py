@@ -28,6 +28,16 @@ def test_classify2_hirzebruch_1_vs_3(tower_file, capsys):
     code, out, _ = run_cli(capsys, "classify2", h1, h3)
     assert code == 0
     assert "DIFFEOMORPHIC" in out
+    # swapped fiber dimensions: the witness is a pair of product witnesses
+    p12 = tower_file("p12.json", product_tower((1, 2)))
+    p21 = tower_file("p21.json", product_tower((2, 1)))
+    code, out, _ = run_cli(capsys, "--json", "classify2", p12, p21)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verdict"] == "DIFFEOMORPHIC"
+    assert obj["witness"] == [
+        {"generator_change": [[1, 0], [0, 1]], "twists": [[], [0]]},
+    ] * 2
 
 
 def test_classify2_distinct_exit_code(tower_file, capsys):
@@ -87,6 +97,9 @@ def test_classify3_and_bound_flag(tower_file, capsys):
     obj = json.loads(out)
     assert obj["verdict"] == "DIFFEOMORPHIC"
     assert obj["bound"] == 3
+    code, out, _ = run_cli(capsys, "classify3", t1, t2, "--bound", "0")
+    assert code == 1
+    assert out == "UNKNOWN at search bound 0\n"
 
 
 def test_iso_search_command(tower_file, capsys):

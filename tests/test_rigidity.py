@@ -39,18 +39,25 @@ def is_triangular(matrix) -> bool:
     return all(not any(row[i + 1 :]) for i, row in enumerate(matrix))
 
 
-def test_bott3_census_witnesses_preserve_p_and_w():
-    # each tower of the census a, b, c in [-3, 3] is compared, in order,
-    # with one representative per class found so far
+@pytest.mark.parametrize(
+    "n, bound, classes, diffeomorphic, distinct",
+    [(3, 4, 32, 311, 4986), (4, 6, 59, 670, 18856)],
+)
+def test_bott3_census_witnesses_preserve_p_and_w(
+    n, bound, classes, diffeomorphic, distinct
+):
+    # each tower of the census a, b, c in [-n, n] is compared, in order,
+    # with one representative per class found so far; no pair is left
+    # UNKNOWN
     reps = []
     kinds = {DIFFEOMORPHIC: 0, DISTINCT: 0}
     nontriangular = 0
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            for c in range(-3, 4):
+    for a in range(-n, n + 1):
+        for b in range(-n, n + 1):
+            for c in range(-n, n + 1):
                 t = bott_tower_3(a, b, c)
                 for rep in reps:
-                    v = classify_3stage(rep, t)
+                    v = classify_3stage(rep, t, bound=bound)
                     assert v.kind in kinds, ((a, b, c), rep, v)
                     kinds[v.kind] += 1
                     if v.kind == DIFFEOMORPHIC:
@@ -60,10 +67,11 @@ def test_bott3_census_witnesses_preserve_p_and_w():
                         break
                 else:
                     reps.append(t)
-    assert len(reps) == 32
-    assert kinds == {DIFFEOMORPHIC: 343 - 32, DISTINCT: 4986}
+    assert len(reps) == classes
+    assert kinds == {DIFFEOMORPHIC: diffeomorphic, DISTINCT: distinct}
+    assert diffeomorphic == (2 * n + 1) ** 3 - classes
     # most witnesses are not triangular for the stage filtration
-    assert nontriangular > (343 - 32) // 2
+    assert nontriangular > diffeomorphic // 2
 
 
 def random_tower_of_height(rng, m, max_dim=2, max_entry=1):
