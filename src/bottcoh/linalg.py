@@ -40,31 +40,32 @@ def minors_gcd(rows: list[tuple[int, ...]], ncols: int) -> int:
     Returns 0 when every minor vanishes.  Any completion of the rows to a
     square integer matrix has determinant divisible by this gcd, which makes
     it a cheap unimodularity prune during row-by-row search.
+
+    Unimodular column operations keep the gcd of the maximal minors, so
+    Euclid's algorithm on the columns brings the rows to lower-triangular
+    form [L | 0], whose only nonzero maximal minor is det L: the gcd is the
+    product of the diagonal, or 0 once a row has nothing left to the right
+    of the columns already used (short rank).
     """
-    r = len(rows)
-    if r == 0:
-        return 1
-    g = 0
-    for cols in _combinations(ncols, r):
-        sub = [[rows[i][c] for c in cols] for i in range(r)]
-        g = gcd(g, abs(det_int(sub)))
-        if g == 1:
-            return 1
-    return g
-
-
-def _combinations(n: int, r: int):
-    idx = list(range(r))
-    while True:
-        yield tuple(idx)
-        for i in reversed(range(r)):
-            if idx[i] != i + n - r:
+    a = [list(row) for row in rows]
+    g = 1
+    for i, row in enumerate(a):
+        while True:
+            live = [c for c in range(i, ncols) if row[c]]
+            if not live:
+                return 0
+            p = min(live, key=lambda c: abs(row[c]))
+            if len(live) == 1:
                 break
-        else:
-            return
-        idx[i] += 1
-        for j in range(i + 1, r):
-            idx[j] = idx[j - 1] + 1
+            for c in live:
+                if c != p:
+                    q = row[c] // row[p]
+                    for r in a[i:]:
+                        r[c] -= q * r[p]
+        g *= abs(row[p])
+        for r in a[i:]:
+            r[i], r[p] = r[p], r[i]
+    return g
 
 
 def solve_mod(matrix: list[list[int]], rhs: list[int], n: int) -> list[int]:

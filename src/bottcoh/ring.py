@@ -44,6 +44,7 @@ class BottRing:
         "chern",
         "_nf_cache",
         "_basis_cache",
+        "_scan_plans",
         "_ranks",
         "_top",
         "__weakref__",
@@ -57,6 +58,7 @@ class BottRing:
         self._mod = domain.modulus
         self._nf_cache = {}
         self._basis_cache = {}
+        self._scan_plans = {}  # compiled scans, see search._compile
         self._ranks = None
         self._top = tuple(self.dims)
         m = self.height

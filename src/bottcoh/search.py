@@ -7,14 +7,17 @@ rational-product criterion, the residue-box square-zero counts of the
 3-stage invariant battery, and the row-by-row search for unimodular
 matrices inducing graded ring isomorphisms.
 
-The scan expands the expression once into one integer polynomial in b per
-basis monomial and then walks the box depth-first, one coordinate at a
-time.  Fixing b_j substitutes it into the polynomials once for all the
-vectors that share the prefix b_1..b_j (shared substitution), and a
-polynomial that involves no coordinate after b_j is then a constant: a
-nonzero one rejects the whole prefix at once (early rejection).  In a Bott
-tower the coefficient of y_l y_k in h^2 involves b_k and lower coordinates
-only, so most prefixes die well before the last coordinate.
+The expression is one polynomial in b per basis monomial, linear in the
+pieces.  The scan structure (which polynomials can occur, their supports
+and the walk over them) is compiled once per ring and piece shape and kept
+on the ring; each call fills it with the pieces' coefficients as integers
+and then walks the box depth-first, one coordinate at a time.  Fixing b_j
+substitutes it into the polynomials once for all the vectors that share
+the prefix b_1..b_j (shared substitution), and a polynomial that involves
+no coordinate after b_j is then a constant: a nonzero one rejects the
+whole prefix at once (early rejection).  In a Bott tower the coefficient
+of y_l y_k in h^2 involves b_k and lower coordinates only, so most
+prefixes die well before the last coordinate.
 
 Results are deterministic: candidates are enumerated in lexicographic order
 and the first complete witness is returned, which makes it the
@@ -38,24 +41,30 @@ from .ring import (
 )
 
 
-def _expand(ring: BottRing, pieces: dict, tmax: int) -> list[dict]:
-    """Expand sum_t pieces[t] * (sum_j b_j y_j)^t into polynomials in b.
+def _compile(ring: BottRing, shape):
+    """Scan structure shared by every call whose pieces have this shape.
 
+    ``shape`` lists, per exponent t, the degrees that pieces[t] occupies.
     By the multinomial theorem the coefficient of b^alpha on the basis
-    monomial mu is multinomial(alpha) * [pieces[|alpha|] * y^alpha]_mu, so
-    one ring multiplication per exponent vector alpha gives everything.
-    Returns the polynomials {alpha: coefficient} that are not identically
-    zero, with integer coefficients: reduced mod n over Z/n, and over Q
-    each one scaled by the lcm of its denominators (which keeps its zeros).
+    monomial mu is the sum over beta of
+
+        pieces[|alpha|][beta] * multinomial(alpha) * NF(y^(beta + alpha))[mu],
+
+    linear in the pieces.  Taking every basis monomial beta of those
+    degrees gives each polynomial's possible support, and so a plan that
+    every piece of the shape can be filled into.
+
+    Returns ``(zeros, table, groups, levels, width)``: ``zeros`` lists the
+    monomials mu whose polynomial is only the constant pieces[0][mu];
+    ``table[t, beta]`` lists the (root slot, weight) pairs that
+    pieces[t][beta] adds to; ``groups`` holds each polynomial's root slots;
+    ``levels`` and ``width`` are the walk of :func:`_plan`.
     """
     m = ring.height
     mod = ring._mod
-    one = ring.domain.one
-    polys: dict = {}
-    for t in range(min(tmax, ring.top_degree) + 1):
-        piece = pieces.get(t)
-        if piece is None or piece.is_zero():
-            continue
+    polys: dict = {}  # mu -> alpha -> [(t, beta, weight)]
+    for t, degrees in shape:
+        betas = [beta for d in degrees for beta in ring.basis(d)]
         for idx in combinations_with_replacement(range(m), t):
             alpha = [0] * m
             for j in idx:
@@ -64,23 +73,28 @@ def _expand(ring: BottRing, pieces: dict, tmax: int) -> list[dict]:
             mult = factorial(t)
             for a in alpha:
                 mult //= factorial(a)
-            for mu, c in ring._raw_mul(piece._c, {alpha: one}).items():
-                polys.setdefault(mu, {})[alpha] = mult * c
-    out = []
-    for poly in polys.values():
-        if isinstance(one, Fraction):
-            scale = lcm(*(c.denominator for c in poly.values()))
-            poly = {a: int(c * scale) for a, c in poly.items()}
-        elif mod is not None:
-            poly = {a: c % mod for a, c in poly.items()}
-        poly = {a: c for a, c in poly.items() if c}
-        if poly:
-            out.append(poly)
-    return out
+            for beta in betas:
+                e = tuple(x + y for x, y in zip(alpha, beta))
+                for mu, c in ring._monomial_nf(e).items():
+                    w = mult * c % mod if mod else mult * c
+                    if w:
+                        polys.setdefault(mu, {}).setdefault(alpha, []).append(
+                            (t, beta, w))
+    zeros = [mu for mu, poly in polys.items() if not any(map(any, poly))]
+    polys = [poly for poly in polys.values() if any(map(any, poly))]
+    slots, levels, width = _plan(polys, m)
+    table: dict = {}
+    for poly, slot in zip(polys, slots):
+        for alpha, entries in poly.items():
+            for t, beta, w in entries:
+                table.setdefault((t, beta), []).append((slot[alpha], w))
+    groups = [list(slot.values()) for slot in slots]
+    return zeros, table, groups, levels, width
 
 
-def _plan(polys: list[dict], m: int):
-    """Static plan of the walk over b_1..b_m, made once per scan.
+def _plan(polys, m: int):
+    """Static plan of the walk over b_1..b_m for polynomials given by their
+    supports (each an iterable of exponent vectors alpha).
 
     Entering level j (b_j is the next coordinate, 0-based), a polynomial
     still in play is held as one coefficient per distinct tail alpha[j:] of
@@ -89,11 +103,12 @@ def _plan(polys: list[dict], m: int):
     at the level of the last coordinate it involves: fixing that coordinate
     leaves a constant.  Every polynomial must involve some coordinate.
 
-    Returns the root's slot coefficients and, per level, ``(checks, spread,
-    width)``: ``checks`` holds, per polynomial settled there, the
-    (slot, k) pairs whose sum of coeff * v^k is its constant; ``spread``
-    holds the (slot, child slot, k) multiply-adds that give the child's
-    coefficients of the rest; ``width`` is the child's number of slots.
+    Returns the slot map, per polynomial {alpha: root slot}, the levels,
+    per level ``(checks, spread, width)``, and the root's number of slots.
+    ``checks`` holds, per polynomial settled there, the (slot, k) pairs
+    whose sum of coeff * v^k is its constant; ``spread`` holds the (slot,
+    child slot, k) multiply-adds that give the child's coefficients of the
+    rest; ``width`` is the child's number of slots.
     """
     last = [max(j for a in poly for j, e in enumerate(a) if e) for poly in polys]
     terms = [(p, a) for p, poly in enumerate(polys) for a in poly]
@@ -117,10 +132,10 @@ def _plan(polys: list[dict], m: int):
         levels.append((list(checks.values()), spread, width))
         width = len(index)
     levels.reverse()
-    root = [0] * width
-    for s, c in zip(slot, [c for poly in polys for c in poly.values()]):
-        root[s] = c
-    return root, levels
+    slots: list[dict] = [{} for _ in polys]
+    for (p, a), s in zip(terms, slot):
+        slots[p][a] = s
+    return slots, levels, width
 
 
 def _scan(ring: BottRing, pieces: dict, tmax: int, values):
@@ -131,7 +146,11 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values):
     bounded search passes range(-bound, bound + 1), a count over Z/n passes
     the residues range(n).
 
-    The polynomials of :func:`_expand` are walked depth-first over the
+    The scan structure is compiled once per ring and piece shape (see
+    :func:`_compile`) and kept on the ring; each call fills the root's
+    coefficients from the pieces, as integers (reduced mod n over Z/n,
+    each polynomial scaled by the lcm of its denominators over Q, which
+    keeps its zeros), and walks the polynomials depth-first over the
     coordinates, with an explicit stack, in the order of ``values`` at each
     level.  A node is a prefix b_1..b_j with the coefficients of the
     polynomials still in play after substituting it (see :func:`_plan`);
@@ -143,10 +162,30 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values):
     """
     m = ring.height
     mod = ring._mod
-    polys = _expand(ring, pieces, tmax)
-    if any(len(poly) == 1 and not any(next(iter(poly))) for poly in polys):
+    live = {}
+    for t in range(min(tmax, ring.top_degree) + 1):
+        piece = pieces.get(t)
+        if piece is not None and not piece.is_zero():
+            live[t] = piece
+    shape = tuple((t, tuple(piece.degrees())) for t, piece in live.items())
+    plan = ring._scan_plans.get((shape, tmax))
+    if plan is None:
+        plan = ring._scan_plans[shape, tmax] = _compile(ring, shape)
+    zeros, table, groups, levels, width = plan
+    if zeros and any(mu in live[0]._c for mu in zeros):
         return []  # a nonzero constant polynomial: no b solves it
-    root, levels = _plan(polys, m)
+    root = [0] * width
+    for t, piece in live.items():
+        for beta, c in piece.items():
+            for s, w in table.get((t, beta), ()):
+                root[s] += c * w
+    if mod:
+        root = [c % mod for c in root]
+    elif isinstance(ring.domain.one, Fraction):
+        for slots in groups:
+            scale = lcm(*(root[s].denominator for s in slots))
+            for s in slots:
+                root[s] = int(root[s] * scale)
     powers = [[v**k for k in range(tmax + 1)] for v in values]
     out = []
     stack = [((), root)]
@@ -176,9 +215,9 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values):
 
 
 def _check_bound(bound) -> range:
-    """Reject a negative or non-integer search bound; otherwise return the
-    per-coordinate values of the box [-bound, bound]."""
-    if not isinstance(bound, int) or bound < 0:
+    """Reject a negative, non-integer or bool search bound; otherwise
+    return the per-coordinate values of the box [-bound, bound]."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
         raise SearchBoundError(
             f"coefficient bound must be a nonnegative integer, got {bound!r}"
         )
@@ -188,7 +227,7 @@ def _check_bound(bound) -> range:
 def square_zero_elements(ring: BottRing, k: int, bound: int) -> list[CohomologyClass]:
     """All classes sum(b_j y_j), not all b_j zero, |b_j| <= bound, whose k-th
     power vanishes, in lexicographic order over the coefficient vectors."""
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive integer")
     values = _check_bound(bound)
     vectors = _scan(ring, {k: ring.one()}, k, values)

@@ -5,16 +5,20 @@ Groebner-basis division algorithm, sharing no code with the package's
 rewriting engine.  The randomized reducer exercises arbitrary reduction
 orders to check confluence.  The brute-force scan evaluates the scan
 expression in the ring once per coefficient vector, sharing no code with
-the package's polynomial expansion.
+the package's polynomial expansion.  The brute-force minors gcd computes
+every maximal minor by its own determinant, where the package reduces
+columns.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import sympy as sp
 
 from bottcoh import ModularDomain, build_ring
+from bottcoh.linalg import det_int
 
 
 def sympy_ring_data(tower):
@@ -117,3 +121,15 @@ def brute_force_square_zero_count(tower, modulus) -> int:
         if (h * h).is_zero():
             count += 1
     return count
+
+
+def brute_force_minors_gcd(rows, ncols) -> int:
+    """gcd of all C(ncols, len(rows)) maximal minors, one Bareiss
+    determinant each; 0 when every minor vanishes, 1 for no rows."""
+    r = len(rows)
+    if r == 0:
+        return 1
+    g = 0
+    for cols in combinations(range(ncols), r):
+        g = gcd(g, abs(det_int([[row[c] for c in cols] for row in rows])))
+    return g

@@ -23,10 +23,15 @@ from bottcoh import (
     validate_tower,
 )
 from bottcoh.classify import _square_zero_count_mod
+from bottcoh.linalg import det_int, minors_gcd
 from bottcoh.search import _scan, _stage_pieces
 
 from .conftest import random_tower
-from .oracles import brute_force_scan, brute_force_square_zero_count
+from .oracles import (
+    brute_force_minors_gcd,
+    brute_force_scan,
+    brute_force_square_zero_count,
+)
 
 DOMAINS = [ZZ, QQ, GF2, ModularDomain(4)]
 
@@ -99,12 +104,20 @@ def test_square_zero_argument_validation():
         square_zero_elements(r, 0, 2)
     with pytest.raises(ValueError):
         square_zero_elements(r, 2, -1)
+    # bool is an int subclass, but True is no power
+    with pytest.raises(ValueError):
+        square_zero_elements(r, True, 1)
 
 
 def test_negative_bound_rejected_before_any_work():
     r = build_ring(hirzebruch(1))
     with pytest.raises(SearchBoundError):
         iso_search(r, r, -1)
+    # bool is an int subclass, but True is no bound
+    for call in (lambda: iso_search(r, r, True),
+                 lambda: square_zero_elements(r, 2, False)):
+        with pytest.raises(SearchBoundError):
+            call()
     # p1 content 2 against 0: DISTINCT without a search, yet still rejected
     with pytest.raises(SearchBoundError):
         classify_3stage(bott_tower_3(0, 1, 1), bott_tower_3(0, 0, 0), bound=-1)
@@ -373,3 +386,92 @@ def test_scan_matches_oracle_property(case):
     ring, pieces, tmax, values = case
     assert _scan(ring, pieces, tmax, values) == \
         brute_force_scan(ring, pieces, tmax, values)
+
+
+# -- compiled scan plans -----------------------------------------------------------
+
+
+def shaped_pieces(ring):
+    """Pieces {2: 1, 1: degree 1, 0: degree 2} of one shape, with different
+    supports: some coefficients zero, a single monomial, full support."""
+    one, d1, d2 = ring.one(), ring.basis(1), ring.basis(2)
+    scale = Fraction(1, 2) if ring.domain == QQ else 1
+    return [
+        {2: one,
+         1: ring.from_terms({e: -1 for e in d1[::2]}),
+         0: ring.from_terms({e: 2 * scale for e in d2[1::2]})},
+        {2: one, 1: ring.from_terms({d1[0]: -1}), 0: ring.from_terms({d2[-1]: 3})},
+        {2: one,
+         1: ring.from_terms({e: i for i, e in enumerate(d1, 1)}),
+         0: ring.from_terms({e: (-1) ** i * scale for i, e in enumerate(d2)})},
+    ]
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, ModularDomain(4)], ids=str)
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_scan_plan_compiled_once_per_shape(domain, order):
+    ring = build_ring(bott_tower_3(1, -2, 3), domain)
+    values = range(-2, 3)
+    plan = None
+    hits = []
+    for pieces in shaped_pieces(ring)[::order]:
+        got = _scan(ring, pieces, 2, values)
+        assert got == brute_force_scan(ring, pieces, 2, values), pieces
+        hits.append(got)
+        assert len(ring._scan_plans) == 1
+        (current,) = ring._scan_plans.values()
+        assert plan is None or current is plan
+        plan = current
+    assert any(hits)
+
+
+def test_iso_search_compiles_one_plan_per_stage_shape():
+    t = validate_tower([(1, []), (1, [[1]]), (1, [[-1, 2]]), (1, [[0, 1, -2]]),
+                        (1, [[2, -1, 0, 1]])])
+    tp = validate_tower([(1, []), (1, [[-1]]), (1, [[1, -2]]), (1, [[0, 1, 2]]),
+                         (1, [[1, -1, 2, 0]])])
+    for source in (t, tp):
+        target = build_ring(t)
+        iso_search(target, build_ring(source), 1)
+        # stage 1 has pieces {2: 1}, later stages {2: 1, 1: degree 1}
+        assert 1 <= len(target._scan_plans) <= 2
+
+
+def test_equal_rings_do_not_share_scan_plans():
+    r1, r2 = build_ring(hirzebruch(1)), build_ring(hirzebruch(1))
+    assert r1 == r2 and r1 is not r2
+    values = range(-2, 3)
+    got = _scan(r1, {2: r1.one()}, 2, values)
+    assert r2._scan_plans == {}
+    assert _scan(r2, {2: r2.one()}, 2, values) == got
+    (p1,), (p2,) = r1._scan_plans.values(), r2._scan_plans.values()
+    assert p1 is not p2
+
+
+# -- minors gcd against every maximal minor ------------------------------------------
+
+
+def test_minors_gcd_matches_oracle(rng):
+    entries = [0, 1, -1, 2, -2, 3, -3, 6, -6]
+    kinds = {"zero": 0, "one": 0, "other": 0}
+    for _ in range(4000):
+        m = rng.randint(1, 6)
+        k = rng.randint(1, m)
+        rows = [[rng.choice(entries) for _ in range(m)] for _ in range(k)]
+        tweak = rng.randrange(4)
+        if tweak == 1:  # a zero row
+            rows[rng.randrange(k)] = [0] * m
+        elif tweak == 2 and k > 1:  # a repeated row
+            rows[rng.randrange(k)] = list(rows[rng.randrange(k)])
+        elif tweak == 3 and k > 1:  # short rank: a combination of two rows
+            i, j = rng.randrange(k), rng.randrange(k)
+            a, b = rng.choice(entries), rng.choice(entries)
+            rows[rng.randrange(k)] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        rows = [tuple(r) for r in rows]
+        g = minors_gcd(rows, m)
+        assert g == brute_force_minors_gcd(rows, m), rows
+        if k == m:
+            assert g == abs(det_int([list(r) for r in rows])), rows
+        kinds["zero" if g == 0 else "one" if g == 1 else "other"] += 1
+    assert min(kinds.values()) > 100, kinds
+    assert minors_gcd([], 3) == 1
