@@ -4,7 +4,11 @@ Total Chern and Pontrjagin classes come from the stage-wise splitting of the
 tangent bundle: each stage contributes the product over its n_i + 1 summand
 Chern roots (the trivial root included) of (1 + y_i + u) respectively
 (1 + (y_i + u)^2).  Wu classes are solved degree by degree from the pairing
-identity v_k . x = Sq^k(x) against the monomial basis; the total
+identity integrate(v_d . x) = integrate(Sq^{2d}(x)) against the monomial
+basis.  Both sides are read from one functional, integrate(y^f), the top
+coefficient of the normal form of y^f: Sq(y^e) = prod_j (y_j + y_j^2)^{e_j}
+has an odd coefficient on y^{e+k} exactly when k_j & e_j == k_j for every
+j (Lucas' theorem), and v_d = 0 for d > top // 2.  The total
 Stiefel-Whitney class is Sq(v).  The generator sign convention is fixed
 throughout: y_i is minus the first Chern class of the stage's tautological
 line bundle, so any comparison with the opposite convention must negate the
@@ -19,6 +23,7 @@ zero and are asserted rather than computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DomainMismatchError, RingMismatchError
 from .linalg import solve_mod
@@ -107,7 +112,9 @@ def steenrod_square(u: CohomologyClass) -> CohomologyClass:
 
 def sq_component(u: CohomologyClass, k: int) -> CohomologyClass:
     """Sq^k of a homogeneous class; zero for odd k since odd cohomology
-    vanishes for these spaces."""
+    vanishes for these spaces.  k must be a nonnegative int."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError("Sq^k needs a nonnegative integer k")
     degs = u.degrees()
     if len(degs) > 1:
         raise ValueError("Sq^k components need a homogeneous input")
@@ -120,28 +127,48 @@ def sq_component(u: CohomologyClass, k: int) -> CohomologyClass:
 def wu_classes(tower) -> CohomologyClass:
     """Total Wu class over Z/2.
 
-    For each degree the component v_k is the unique solution of
-    integrate(v_k . x) = integrate(Sq^k(x)) over the monomial basis x of the
-    complementary degree; the pairing matrix is unimodular over Z, hence
-    invertible mod 2.  A singular pairing would be an internal error.
+    The component v_d in H^{2d} is the unique solution of the pairing
+    identity integrate(v_d . x) = integrate(Sq^{2d}(x)) over the monomial
+    basis x of the complementary degree top - d; the pairing matrix is
+    unimodular over Z, hence invertible mod 2, and a singular pairing would
+    be an internal error.
+
+    Both sides are read from the top-degree functional
+    integrate(y^f) = coefficient of the top monomial in the normal form of
+    y^f.  The pairing entry of (x, g) = (y^e, y^g) is integrate(y^{e+g}).
+    Since Sq(y^e) = prod_j (y_j + y_j^2)^{e_j}, the right-hand side is the
+    sum of integrate(y^{e+k}) over the basis monomials y^k of degree d with
+    every binomial(e_j, k_j) odd, which by Lucas' theorem means
+    k_j & e_j == k_j.  Such k satisfy |k| <= |e| = top - d, so for
+    d > top // 2 the right-hand side vanishes and v_d = 0; the pairings of
+    those degrees are transposes of the ones solved, so every pairing is
+    still checked for invertibility.
     """
     ring = build_ring(tower, GF2)
     top = ring.top_degree
-    v = ring.one()
-    for d in range(1, top + 1):  # v component in H^{2d}
+    nf = ring._monomial_nf
+    top_mono = ring._top
+
+    def integral(e, g):
+        return nf(tuple(map(add, e, g))).get(top_mono, 0)
+
+    terms = {(0,) * ring.height: 1}
+    for d in range(1, top // 2 + 1):  # v component in H^{2d}
         comp = ring.basis(d)
-        dual = ring.basis(top - d)
         rows = []
         rhs = []
-        for e in dual:
-            x = CohomologyClass(ring, {e: 1})
-            rhs.append(int(ring.integrate(steenrod_square(x))))
-            rows.append(
-                [int(ring.integrate(CohomologyClass(ring, {g: 1}) * x)) for g in comp]
+        for e in ring.basis(top - d):
+            rows.append([integral(e, g) for g in comp])
+            rhs.append(
+                sum(
+                    integral(e, k)
+                    for k in comp
+                    if all(kj & ej == kj for kj, ej in zip(k, e))
+                )
             )
         sol = solve_mod(rows, rhs, 2)
-        v = v + CohomologyClass(ring, {g: s for g, s in zip(comp, sol) if s})
-    return v
+        terms.update((g, 1) for g, s in zip(comp, sol) if s)
+    return CohomologyClass(ring, terms)
 
 
 def stiefel_whitney(tower) -> CohomologyClass:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainMismatchError, RingMismatchError, UnverifiedMapError
 from .linalg import det_int
@@ -220,7 +221,7 @@ class BottRing:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 c = c1 * c2
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 for mono, d in nf(e).items():
                     out[mono] = out.get(mono, 0) + c * d
         mod = self._mod
@@ -409,7 +410,7 @@ class CohomologyClass:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = self.ring.one()
         base = self

@@ -7,7 +7,9 @@ orders to check confluence.  The brute-force scan evaluates the scan
 expression in the ring once per coefficient vector, sharing no code with
 the package's polynomial expansion.  The brute-force minors gcd computes
 every maximal minor by its own determinant, where the package reduces
-columns.
+columns.  The brute-force Wu solve takes one full Steenrod square per basis
+monomial and one ring product per pairing entry, in every degree, where the
+package reads both sides from the top-degree functional.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from math import gcd
 
 import sympy as sp
 
-from bottcoh import ModularDomain, build_ring
-from bottcoh.linalg import det_int
+from bottcoh import GF2, ModularDomain, build_ring, steenrod_square
+from bottcoh.linalg import det_int, solve_mod
+from bottcoh.ring import CohomologyClass
 
 
 def sympy_ring_data(tower):
@@ -133,3 +136,26 @@ def brute_force_minors_gcd(rows, ncols) -> int:
     for cols in combinations(range(ncols), r):
         g = gcd(g, abs(det_int([[row[c] for c in cols] for row in rows])))
     return g
+
+
+def brute_force_wu_classes(tower):
+    """Total Wu class over Z/2, solved in every degree d from
+    integrate(v_d . x) = integrate(Sq(x)) over the basis x of degree
+    top - d, with a ring product per pairing entry and a full Steenrod
+    square per basis monomial."""
+    ring = build_ring(tower, GF2)
+    top = ring.top_degree
+    v = ring.one()
+    for d in range(1, top + 1):
+        comp = ring.basis(d)
+        rows = []
+        rhs = []
+        for e in ring.basis(top - d):
+            x = CohomologyClass(ring, {e: 1})
+            rhs.append(int(ring.integrate(steenrod_square(x))))
+            rows.append(
+                [int(ring.integrate(CohomologyClass(ring, {g: 1}) * x)) for g in comp]
+            )
+        sol = solve_mod(rows, rhs, 2)
+        v = v + CohomologyClass(ring, {g: s for g, s in zip(comp, sol) if s})
+    return v

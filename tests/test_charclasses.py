@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 
 from bottcoh import (
@@ -23,7 +25,7 @@ from bottcoh import (
 from bottcoh.ring import IsoWitness
 
 from .conftest import small_tower_corpus
-from .oracles import class_terms, sympy_normal_form
+from .oracles import brute_force_wu_classes, class_terms, sympy_normal_form
 
 
 def test_tangent_chern_cp2():
@@ -142,6 +144,59 @@ def test_sq_component_vanishing_and_top(rng):
         assert sq_component(x, 1).is_zero()
         for k in range(2 * d + 1, 2 * d + 4):
             assert sq_component(x, k).is_zero()
+
+
+def test_sq_component_rejects_bad_k():
+    r = build_ring(product_tower((2,)), GF2)
+    y = r.gen(1)
+    for k in (1.5, 2.0, True, False, -2, "2"):
+        with pytest.raises(ValueError):
+            sq_component(y, k)
+    assert sq_component(y, 2) == y * y
+    assert sq_component(y, 0) == y
+
+
+def test_power_rejects_bool_exponent():
+    u = build_ring(product_tower((2,))).gen(1)
+    for k in (True, False, 1.0, -1):
+        with pytest.raises(ValueError):
+            u ** k
+    assert u ** 1 == u
+    assert u ** 0 == u.ring.one()
+
+
+def seeded_wu_towers(rng):
+    """One generalized tower per fiber shape of height 1 to 5, fibers <= 3
+    and complex dimension <= 8 (the char-classes shapes among them), with
+    summand entries in [-2, 2]."""
+    for height in range(1, 6):
+        for dims in iproduct(range(1, 4), repeat=height):
+            if sum(dims) <= 8:
+                yield validate_tower([
+                    (n, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)])
+                    for k, n in enumerate(dims)
+                ])
+
+
+def test_wu_classes_match_brute_force_oracle(rng):
+    towers = 0
+    for tower in seeded_wu_towers(rng):
+        v = wu_classes(tower)
+        ring = v.ring
+        top = ring.top_degree
+        assert v == brute_force_wu_classes(tower), tower
+        assert all(d <= top // 2 for d in v.degrees()), tower
+        # the defining property of the total Wu class, against full-ring
+        # products and Steenrod squares
+        for d in range(top + 1):
+            for e in ring.basis(d):
+                x = ring.from_terms({e: 1})
+                assert ring.integrate(v * x) == ring.integrate(steenrod_square(x)), (
+                    tower,
+                    e,
+                )
+        towers += 1
+    assert towers == 139
 
 
 def test_wu_classes_examples():

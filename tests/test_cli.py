@@ -1,8 +1,20 @@
 import json
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bottcoh import bott_tower_3, hirzebruch, product_tower, validate_tower
+from bottcoh import (
+    bott_tower_3,
+    dualize_stage,
+    hirzebruch,
+    product_tower,
+    validate_tower,
+)
 from bottcoh.cli import canonical_json, main
 
 
@@ -157,6 +169,54 @@ def test_json_output_roundtrips_byte_identical(tower_file, capsys):
         _, out, _ = run_cli(capsys, *argv)
         line = out.strip()
         assert canonical_json(json.loads(line)) == line
+
+
+@st.composite
+def small_towers(draw):
+    stages = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 2))
+        stages.append((n, [[draw(st.integers(-2, 2)) for _ in range(i)]
+                           for _ in range(n)]))
+    return validate_tower(stages)
+
+
+@st.composite
+def json_invocations(draw):
+    """One `--json` invocation of `classes`, `ring` (Z, Z/n or Q) or
+    `iso-search` (a tower against itself, its dual top stage or another
+    tower) on small towers."""
+    t = draw(small_towers())
+    command = draw(st.sampled_from(["classes", "ring", "iso-search"]))
+    if command == "classes":
+        return command, [t], []
+    if command == "ring":
+        extra = draw(st.sampled_from(
+            [[], ["--rational"], ["--mod", "2"], ["--mod", "4"]]))
+        return command, [t], extra
+    tp = draw(st.sampled_from(
+        [t, t.replace_stage(t.height, dualize_stage(t.stages[-1])),
+         draw(small_towers())]))
+    return command, [t, tp], ["--bound", str(draw(st.integers(0, 2)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_invocations())
+def test_json_stdout_round_trips_property(case):
+    command, towers, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, tower in enumerate(towers):
+            path = Path(tmp) / f"t{k}.json"
+            path.write_text(json.dumps(tower.to_obj()))
+            paths.append(str(path))
+        out = StringIO()
+        with redirect_stdout(out):
+            code = main(["--json", command, *paths, *extra])
+    assert code in (0, 1)
+    text = out.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert canonical_json(json.loads(text)) + "\n" == text
 
 
 def test_malformed_input_exit_2(tmp_path, capsys):

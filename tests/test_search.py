@@ -15,12 +15,14 @@ from bottcoh import (
     bott_tower_3,
     build_ring,
     classify_3stage,
+    dualize_stage,
     hirzebruch,
     iso_search,
     product_tower,
     search,
     square_zero_elements,
     validate_tower,
+    verify_map,
 )
 from bottcoh.classify import _square_zero_count_mod
 from bottcoh.linalg import det_int, minors_gcd
@@ -386,6 +388,48 @@ def test_scan_matches_oracle_property(case):
     ring, pieces, tmax, values = case
     assert _scan(ring, pieces, tmax, values) == \
         brute_force_scan(ring, pieces, tmax, values)
+
+
+@st.composite
+def search_pairs(draw):
+    """A tower of height 1 to 4 with fibers <= 2, paired with itself, with
+    the copy whose top stage is dualized, or with another tower of the same
+    fiber dimensions, and a bound 0 to 2 (at most 1 at height 4)."""
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+
+    def tower():
+        return validate_tower([
+            (n, [[draw(st.integers(-2, 2)) for _ in range(i)] for _ in range(n)])
+            for i, n in enumerate(dims)
+        ])
+
+    t = tower()
+    kind = draw(st.sampled_from(["same", "dual", "other"]))
+    if kind == "same":
+        tp = t
+    elif kind == "dual":
+        tp = t.replace_stage(t.height, dualize_stage(t.stages[-1]))
+    else:
+        tp = tower()
+    bound = draw(st.integers(0, 1 if len(dims) == 4 else 2))
+    return t, tp, kind, bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(search_pairs())
+def test_iso_search_witnesses_verify_property(case):
+    t, tp, kind, bound = case
+    ring, ring_prime = build_ring(t, ZZ), build_ring(tp, ZZ)
+    witness = iso_search(ring, ring_prime, bound)
+    if kind == "same" and bound >= 1:
+        assert witness is not None  # the identity is in the box
+    if witness is None:
+        return
+    matrix = witness.matrix
+    assert all(abs(v) <= bound for row in matrix for v in row)
+    assert abs(det_int([list(row) for row in matrix])) == 1
+    rm = verify_map(ring_prime, ring, matrix)
+    assert rm is not None and rm.is_isomorphism
 
 
 # -- compiled scan plans -----------------------------------------------------------
