@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TowerFormatError
+from .errors import ModulusError, TowerFormatError
 from .ring import BottRing, CohomologyClass, build_ring
-from .scalars import ZZ, ModularDomain
+from .scalars import ZZ
 from .search import _check_bound, _scan, iso_search
 from .towers import TowerSpec, validate_tower
 
@@ -259,10 +259,19 @@ def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
     """Number of nonzero degree-2 classes with zero square over Z/modulus.
 
     The count runs over the full finite coefficient module (every residue
-    vector), which makes it invariant under any ring isomorphism.
+    vector), which makes it invariant under any ring isomorphism.  It scans
+    the tower's ring over Z modulo ``modulus``: the relations are monic with
+    integer coefficients, so this is the count in the ring over Z/modulus.
     """
-    ring = build_ring(tower, ModularDomain(modulus))
-    return len(_scan(ring, {2: ring.one()}, 2, range(modulus)))
+    if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 2:
+        raise ModulusError(f"modulus must be an integer >= 2, got {modulus!r}")
+    return _residue_square_zero_count(build_ring(tower, ZZ), modulus)
+
+
+def _residue_square_zero_count(ring: BottRing, modulus: int) -> int:
+    """The Z/modulus square-zero count of a ring over Z, from one residue
+    scan; the ring keeps the {2: 1} plan for every modulus and the search."""
+    return len(_scan(ring, {2: ring.one()}, 2, range(modulus), modulus))
 
 
 def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
@@ -275,6 +284,10 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     search for a ring isomorphism decides: a witness certifies a
     diffeomorphism.  When the bound is exhausted, the square-zero count
     over Z/8 is compared last, and if it agrees too the verdict is UNKNOWN.
+
+    Each tower gets one ring, over Z, built once the p1 test has passed:
+    the residue counts scan it modulo 2, 4 and 8, and the search runs on
+    it, so all of them share its compiled {2: 1} scan plan.
     """
     _check_bound(bound)
     t = validate_tower(tower)
@@ -286,9 +299,10 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     p1p = abs(cp * (2 * bp - ap * cp))
     if p1 != p1p:
         return Verdict(DISTINCT, invariant=("p1_content", p1, p1p), bound=bound)
+    ring, ring_p = build_ring(t, ZZ), build_ring(tp, ZZ)
     for modulus in (2, 4):
-        count = _square_zero_count_mod(t, modulus)
-        count_p = _square_zero_count_mod(tp, modulus)
+        count = _residue_square_zero_count(ring, modulus)
+        count_p = _residue_square_zero_count(ring_p, modulus)
         if count != count_p:
             return Verdict(
                 DISTINCT,
@@ -296,13 +310,13 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
                 bound=bound,
             )
 
-    witness = iso_search(build_ring(t, ZZ), build_ring(tp, ZZ), bound)
+    witness = iso_search(ring, ring_p, bound)
     if witness is not None:
         return Verdict(DIFFEOMORPHIC, witness=witness, bound=bound)
     # the Z/8 count runs only once the search has failed: most pairs that
     # reach the search are isomorphic, and they would pay for it
-    count = _square_zero_count_mod(t, 8)
-    count_p = _square_zero_count_mod(tp, 8)
+    count = _residue_square_zero_count(ring, 8)
+    count_p = _residue_square_zero_count(ring_p, 8)
     if count != count_p:
         return Verdict(
             DISTINCT,

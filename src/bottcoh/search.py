@@ -8,10 +8,15 @@ rational-product criterion, the residue-box square-zero counts of the
 matrices inducing graded ring isomorphisms.
 
 The expression is one polynomial in b per basis monomial, linear in the
-pieces.  The scan structure (which polynomials can occur, their supports
-and the walk over them) is compiled once per ring and piece shape and kept
-on the ring; each call fills it with the pieces' coefficients as integers
-and then walks the box depth-first, one coordinate at a time.  Fixing b_j
+pieces.  The scan structure (which polynomials can occur, their supports,
+their integer weights and the walk over them) is compiled once per ring and
+piece shape and kept on the ring; it holds no modulus.  Each call fills it
+with the pieces' coefficients as integers and then walks the box
+depth-first, one coordinate at a time, reducing by the modulus of the walk:
+the ring's own over Z/n, or any n for a residue scan of a ring over Z.  The
+relations are monic with integer coefficients, so the normal form over Z/n
+is the normal form over Z reduced mod n, and a residue scan of the integer
+ring finds what a scan of the Z/n ring finds.  Fixing b_j
 substitutes it into the polynomials once for all the vectors that share
 the prefix b_1..b_j (shared substitution), and a polynomial that involves
 no coordinate after b_j is then a constant: a nonzero one rejects the
@@ -58,10 +63,12 @@ def _compile(ring: BottRing, shape):
     monomials mu whose polynomial is only the constant pieces[0][mu];
     ``table[t, beta]`` lists the (root slot, weight) pairs that
     pieces[t][beta] adds to; ``groups`` holds each polynomial's root slots;
-    ``levels`` and ``width`` are the walk of :func:`_plan`.
+    ``levels`` and ``width`` are the walk of :func:`_plan`.  A weight is the
+    integer multinomial(alpha) * NF(y^(beta + alpha))[mu], never reduced, so
+    the plan serves a walk modulo any n (a weight that vanishes mod n only
+    keeps a term that adds zero).
     """
     m = ring.height
-    mod = ring._mod
     polys: dict = {}  # mu -> alpha -> [(t, beta, weight)]
     for t, degrees in shape:
         betas = [beta for d in degrees for beta in ring.basis(d)]
@@ -76,10 +83,8 @@ def _compile(ring: BottRing, shape):
             for beta in betas:
                 e = tuple(x + y for x, y in zip(alpha, beta))
                 for mu, c in ring._monomial_nf(e).items():
-                    w = mult * c % mod if mod else mult * c
-                    if w:
-                        polys.setdefault(mu, {}).setdefault(alpha, []).append(
-                            (t, beta, w))
+                    polys.setdefault(mu, {}).setdefault(alpha, []).append(
+                        (t, beta, mult * c))
     zeros = [mu for mu, poly in polys.items() if not any(map(any, poly))]
     polys = [poly for poly in polys.values() if any(map(any, poly))]
     slots, levels, width = _plan(polys, m)
@@ -138,30 +143,34 @@ def _plan(polys, m: int):
     return slots, levels, width
 
 
-def _scan(ring: BottRing, pieces: dict, tmax: int, values):
+def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
     """All nonzero b in values^m, in lexicographic order, with
-    sum_t pieces[t] * (sum_j b_j y_j)^t == 0.
+    sum_t pieces[t] * (sum_j b_j y_j)^t == 0 (mod ``mod``).
 
     ``values`` lists the coefficients tried per coordinate, in order: a
     bounded search passes range(-bound, bound + 1), a count over Z/n passes
-    the residues range(n).
+    the residues range(n).  ``mod`` is the modulus of the walk and defaults
+    to the ring's own (none over Z and Q).  A ring over Z scanned with
+    ``mod=n`` gives what the same scan of its ring over Z/n gives.
 
     The scan structure is compiled once per ring and piece shape (see
-    :func:`_compile`) and kept on the ring; each call fills the root's
-    coefficients from the pieces, as integers (reduced mod n over Z/n,
-    each polynomial scaled by the lcm of its denominators over Q, which
-    keeps its zeros), and walks the polynomials depth-first over the
-    coordinates, with an explicit stack, in the order of ``values`` at each
-    level.  A node is a prefix b_1..b_j with the coefficients of the
-    polynomials still in play after substituting it (see :func:`_plan`);
-    each child costs one multiply-add per slot.  A polynomial settled by
-    the child's coordinate must vanish (mod n over Z/n), else the child and
-    its whole subtree are skipped; once settled it is dropped.  At the last
-    coordinate every remaining polynomial is univariate and settles, so a
-    leaf is a solution exactly when all of them vanish.
+    :func:`_compile`) and kept on the ring, whatever the modulus; each call
+    fills the root's coefficients from the pieces, as integers (reduced mod
+    n in a walk mod n, each polynomial scaled by the lcm of its
+    denominators over Q, which keeps its zeros), and walks the polynomials
+    depth-first over the coordinates, with an explicit stack, in the order
+    of ``values`` at each level.  A node is a prefix b_1..b_j with the
+    coefficients of the polynomials still in play after substituting it
+    (see :func:`_plan`); each child costs one multiply-add per slot.  A
+    polynomial settled by the child's coordinate must vanish (mod n in a
+    walk mod n), else the child and its whole subtree are skipped; once
+    settled it is dropped.  At the last coordinate every remaining
+    polynomial is univariate and settles, so a leaf is a solution exactly
+    when all of them vanish.
     """
     m = ring.height
-    mod = ring._mod
+    if mod is None:
+        mod = ring._mod
     live = {}
     for t in range(min(tmax, ring.top_degree) + 1):
         piece = pieces.get(t)
@@ -172,8 +181,11 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values):
     if plan is None:
         plan = ring._scan_plans[shape, tmax] = _compile(ring, shape)
     zeros, table, groups, levels, width = plan
-    if zeros and any(mu in live[0]._c for mu in zeros):
-        return []  # a nonzero constant polynomial: no b solves it
+    if zeros:  # polynomials that are the constant pieces[0][mu]
+        constant = live[0]._c
+        if any(constant.get(mu, 0) % mod if mod else mu in constant
+               for mu in zeros):
+            return []  # a nonzero constant polynomial: no b solves it
     root = [0] * width
     for t, piece in live.items():
         for beta, c in piece.items():

@@ -4,6 +4,7 @@ from bottcoh import (
     DIFFEOMORPHIC,
     DISTINCT,
     UNKNOWN,
+    ZZ,
     ProductObstruction,
     ProductWitness,
     TowerFormatError,
@@ -254,3 +255,47 @@ def test_classify_3stage_unknown_is_honest():
     v = classify_3stage(t, tp, bound=3)
     assert v.kind == DIFFEOMORPHIC
     assert v.witness.matrix == ((-1, 0, 0), (-3, -1, 0), (0, 0, -1))
+
+
+@pytest.fixture
+def built_rings(monkeypatch):
+    """The domains of the rings that ``classify_3stage`` builds, per call."""
+    import bottcoh.classify
+
+    domains = []
+    real = bottcoh.classify.build_ring
+
+    def counting(tower, domain):
+        domains.append(domain)
+        return real(tower, domain)
+
+    monkeypatch.setattr(bottcoh.classify, "build_ring", counting)
+    return domains
+
+
+def test_classify_3stage_builds_one_integer_ring_per_tower(built_rings, rng):
+    # one pair per way the call can end, then a seeded census-3 sample
+    pinned = [
+        ((-3, -3, -3), (0, 0, 1), 4),  # p1 content
+        ((-3, -3, 0), (0, 0, 1), 4),  # Z/2 count
+        ((-2, -3, 1), (1, 2, 2), 4),  # Z/4 count
+        ((-3, -2, 0), (0, 0, 1), 4),  # witness
+        ((-4, -2, -3), (-3, 0, -4), None),  # Z/8 count, default bound
+        ((3, 0, 3), (-3, -9, 3), 2),  # UNKNOWN
+    ]
+    census = [(a, b, c) for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)]
+    sample = [(rng.choice(census), rng.choice(census), 4) for _ in range(150)]
+    kinds = []
+    for p, q, bound in pinned + sample:
+        built_rings.clear()
+        t, tp = bott_tower_3(*p), bott_tower_3(*q)
+        v = classify_3stage(t, tp) if bound is None else classify_3stage(t, tp, bound=bound)
+        kinds.append(v.invariant[0] if v.invariant else v.kind)
+        if kinds[-1] == "p1_content":
+            assert built_rings == [], (p, q)
+        else:
+            assert built_rings == [ZZ, ZZ], (p, q, v)
+    assert kinds[:len(pinned)] == [
+        "p1_content", "square_zero_count_mod2", "square_zero_count_mod4",
+        DIFFEOMORPHIC, "square_zero_count_mod8", UNKNOWN,
+    ]

@@ -11,6 +11,7 @@ from bottcoh import (
     QQ,
     ZZ,
     ModularDomain,
+    ModulusError,
     SearchBoundError,
     bott_tower_3,
     build_ring,
@@ -344,12 +345,36 @@ HEIGHT_4 = [
 ]
 
 
-@pytest.mark.parametrize("modulus", [2, 3, 4])
+CENSUS_3 = [bott_tower_3(a, b, c) for a, b, c in iproduct(range(-3, 4), repeat=3)]
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4, 8])
 def test_square_zero_count_mod_matches_oracle(modulus):
-    towers = [bott_tower_3(a, b, c) for a, b, c in iproduct(range(-3, 4), repeat=3)]
-    for tower in towers + HEIGHT_4:
+    for tower in CENSUS_3 + HEIGHT_4:
         assert _square_zero_count_mod(tower, modulus) == \
             brute_force_square_zero_count(tower, modulus), (tower, modulus)
+
+
+@pytest.mark.parametrize("modulus", [0, 1, -3, True, False, 2.0])
+def test_square_zero_count_mod_rejects_bad_modulus(modulus):
+    with pytest.raises(ModulusError):
+        _square_zero_count_mod(hirzebruch(1), modulus)
+
+
+def test_residue_scan_of_integer_ring_matches_modular_ring(seed):
+    # the relations are monic over Z, so the normal form over Z/n is the
+    # normal form over Z reduced mod n: scanning the ring over Z mod n
+    # finds exactly what scanning the ring over Z/n finds
+    rng = random.Random(seed)
+    seeded = [random_tower(rng, max_height=4, max_dim=2, max_entry=3)
+              for _ in range(12)]
+    for tower in CENSUS_3 + HEIGHT_4 + seeded:
+        ring = build_ring(tower, ZZ)
+        for n in (2, 3, 4, 8):
+            ring_n = build_ring(tower, ModularDomain(n))
+            for k in (2, 3):
+                assert _scan(ring, {k: ring.one()}, k, range(n), n) == \
+                    _scan(ring_n, {k: ring_n.one()}, k, range(n)), (tower, n, k)
 
 
 @st.composite
@@ -467,6 +492,29 @@ def test_scan_plan_compiled_once_per_shape(domain, order):
         assert plan is None or current is plan
         plan = current
     assert any(hits)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["z-first", "residues-first"])
+def test_one_plan_serves_integer_and_residue_walks(order):
+    # a plan holds integer weights, so a bounded scan over Z and residue
+    # scans mod 2, 3, 4 and 8 of one ring share it, in either order
+    tower = bott_tower_3(1, -2, 3)
+    ring = build_ring(tower, ZZ)
+    walks = [(None, range(-2, 3))] + [(n, range(n)) for n in (2, 3, 4, 8)]
+    for shaped in ([{2: ring.one()}], shaped_pieces(ring)):
+        for n, values in walks[::order]:
+            for pieces in shaped:
+                got = _scan(ring, pieces, 2, values, n)
+                if n is None:
+                    expected = brute_force_scan(ring, pieces, 2, values)
+                else:
+                    ring_n = build_ring(tower, ModularDomain(n))
+                    expected = brute_force_scan(
+                        ring_n,
+                        {t: ring_n.from_terms(dict(p.items())) for t, p in pieces.items()},
+                        2, values)
+                assert got == expected, (n, pieces)
+    assert len(ring._scan_plans) == 2
 
 
 def test_iso_search_compiles_one_plan_per_stage_shape():
