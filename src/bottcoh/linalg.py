@@ -34,6 +34,33 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def clear_row(entries: list[int], cols: list) -> tuple[int, list]:
+    """Euclid's algorithm on a row by unimodular column operations.
+
+    ``entries[c]`` is the row's entry in column ``cols[c]``; each operation
+    (subtract q times column p from column c) is applied to the entries and
+    to the columns alike.  Returns the one entry left nonzero, their gcd up
+    to sign (0 when every entry vanishes), and the new columns with that
+    entry's column first: the row is zero in every other column.
+    """
+    entries = list(entries)
+    cols = [list(col) for col in cols]
+    while True:
+        live = [c for c, v in enumerate(entries) if v]
+        if not live:
+            return 0, cols
+        p = min(live, key=lambda c: abs(entries[c]))
+        if len(live) == 1:
+            break
+        for c in live:
+            if c != p:
+                q = entries[c] // entries[p]
+                entries[c] -= q * entries[p]
+                cols[c] = [a - q * b for a, b in zip(cols[c], cols[p])]
+    cols[0], cols[p] = cols[p], cols[0]
+    return entries[p], cols
+
+
 def minors_gcd(rows: list[tuple[int, ...]], ncols: int) -> int:
     """gcd of all maximal (len(rows) x len(rows)) minors of a short wide matrix.
 
@@ -42,30 +69,23 @@ def minors_gcd(rows: list[tuple[int, ...]], ncols: int) -> int:
     it a cheap unimodularity prune during row-by-row search.
 
     Unimodular column operations keep the gcd of the maximal minors, so
-    Euclid's algorithm on the columns brings the rows to lower-triangular
-    form [L | 0], whose only nonzero maximal minor is det L: the gcd is the
-    product of the diagonal, or 0 once a row has nothing left to the right
-    of the columns already used (short rank).
+    clearing each row in turn (:func:`clear_row`) on the columns not yet
+    used brings the rows to lower-triangular form [L | 0], whose only
+    nonzero maximal minor is det L: the gcd is the product of the diagonal,
+    or 0 once a row has nothing left to the right of the columns already
+    used (short rank).  The last row need not be cleared: its diagonal
+    entry would be the gcd of its entries in the unused columns.
     """
-    a = [list(row) for row in rows]
+    if not rows:
+        return 1
+    cols = [[row[c] for row in rows] for c in range(ncols)]
     g = 1
-    for i, row in enumerate(a):
-        while True:
-            live = [c for c in range(i, ncols) if row[c]]
-            if not live:
-                return 0
-            p = min(live, key=lambda c: abs(row[c]))
-            if len(live) == 1:
-                break
-            for c in live:
-                if c != p:
-                    q = row[c] // row[p]
-                    for r in a[i:]:
-                        r[c] -= q * r[p]
-        g *= abs(row[p])
-        for r in a[i:]:
-            r[i], r[p] = r[p], r[i]
-    return g
+    for i in range(len(rows) - 1):
+        entry, cols[i:] = clear_row([col[i] for col in cols[i:]], cols[i:])
+        if not entry:
+            return 0
+        g *= abs(entry)
+    return g * gcd(*(col[-1] for col in cols[len(rows) - 1:]))
 
 
 def solve_mod(matrix: list[list[int]], rhs: list[int], n: int) -> list[int]:

@@ -24,6 +24,14 @@ whole prefix at once (early rejection).  In a Bott tower the coefficient
 of y_l y_k in h^2 involves b_k and lower coordinates only, so most
 prefixes die well before the last coordinate.
 
+The isomorphism search fixes the rows of a matrix depth-first, each row a
+scan.  It searches row 1 up to sign: every relation is homogeneous and the
+box is symmetric, so -M is a witness whenever M is, and only rows 1 whose
+first nonzero entry is negative are tried.  Its unimodularity prune carries
+a column transform down the tree that clears the rows fixed so far, so each
+candidate row costs the gcd of its m - depth free entries instead of a
+reduction of the whole prefix.
+
 Results are deterministic: candidates are enumerated in lexicographic order
 and the first complete witness is returned, which makes it the
 lexicographically smallest one.
@@ -34,9 +42,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, lcm
+from operator import mul
 
 from .errors import DomainMismatchError, SearchBoundError
-from .linalg import minors_gcd
+from .linalg import clear_row, minors_gcd
 from .ring import (
     BottRing,
     CohomologyClass,
@@ -269,8 +278,21 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     generator in the unprimed basis.  Matrices are tried in lexicographic
     order (row 1 varies slowest); rows are filtered stage by stage, which is
     possible because the i-th relation only involves the first i generators.
+
+    Row 1 is searched up to sign.  Each relation is homogeneous, so -M is a
+    witness whenever M is, and the box is symmetric; of M and -M the one
+    whose row 1 leads with a negative entry comes first, so rows 1 leading
+    with a positive entry are skipped.  The first witness is unchanged, and
+    an exhaustive search walks half the tree.
+
     A gcd-of-minors prune discards prefixes that cannot complete to a
-    unimodular matrix.  Returns the first verified witness, or None.
+    unimodular matrix.  The DFS carries, per prefix of ``depth`` rows, a
+    unimodular column transform U with prefix @ U = [L | 0] and |det L| = 1,
+    so a candidate row r keeps the gcd of the maximal minors at 1 exactly
+    when the free entries of r @ U (columns depth..m-1) have gcd 1: one
+    single-row ``minors_gcd`` per candidate.  Descending extends U by
+    Euclid's algorithm on the free columns only.  Returns the first
+    verified witness, or None.
     """
     values = _check_bound(bound)
     target, source = ring, ring_prime
@@ -282,24 +304,32 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     rows: list[tuple[int, ...]] = []
     found = None
 
-    def dfs() -> bool:
+    def dfs(cols) -> bool:
+        # cols[j] is column j of U; prefix @ U vanishes on cols[depth:]
         nonlocal found
         depth = len(rows)
         if depth == m:
-            # the minors-gcd prune admitted this square matrix, and its
-            # only maximal minor is the determinant: |det| == 1
+            # every row kept the minors gcd at 1, and the only maximal
+            # minor of the square matrix is its determinant: |det| == 1
             found = tuple(rows)
             return True
         pieces = _stage_pieces(source, target, rows, depth + 1)
         candidates = _scan(target, pieces, max(pieces), values)
+        free = cols[depth:]
         for row in candidates:
+            if not depth and next(filter(None, row)) > 0:
+                continue  # its negative is tried first (sign rule)
+            tail = [sum(map(mul, row, col)) for col in free]
+            if minors_gcd([tail], m - depth) != 1:
+                continue
             rows.append(row)
-            if minors_gcd(rows, m) == 1 and dfs():
+            if dfs(cols[:depth] + clear_row(tail, free)[1]):
                 return True
             rows.pop()
         return False
 
-    if not dfs():
+    identity = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    if not dfs(identity):
         return None
     rm = verify_map(source, target, found)
     if rm is None:  # cannot happen: every stage image was checked

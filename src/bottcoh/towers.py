@@ -117,9 +117,12 @@ def validate_tower(raw) -> TowerSpec:
     Accepts a TowerSpec, a list of StageSpec, a list of (fiber_dim, rows)
     pairs, or a list of {"fiber_dim": n, "summands": rows} mappings.  Stage i
     must carry exactly fiber_dim rows of exactly i - 1 columns; for stage 1
-    an empty matrix may be written as [].
+    an empty matrix may be written as [].  A TowerSpec that this function
+    returned is returned as it is; one built by hand is checked.
     """
     if isinstance(raw, TowerSpec):
+        if raw.__dict__.get("_validated"):
+            return raw
         raw = list(raw.stages)
     if isinstance(raw, dict):
         raw = raw.get("stages", raw)
@@ -154,7 +157,10 @@ def validate_tower(raw) -> TowerSpec:
             )
         rows = tuple(_int_row(r, idx - 1, idx) for r in rows)
         stages.append(StageSpec(n, rows))
-    return TowerSpec(tuple(stages))
+    spec = TowerSpec(tuple(stages))
+    # frozen, and built from checked stages: later calls can trust it
+    object.__setattr__(spec, "_validated", True)
+    return spec
 
 
 def normalize_stage(summand_rows) -> StageSpec:

@@ -7,9 +7,13 @@ orders to check confluence.  The brute-force scan evaluates the scan
 expression in the ring once per coefficient vector, sharing no code with
 the package's polynomial expansion.  The brute-force minors gcd computes
 every maximal minor by its own determinant, where the package reduces
-columns.  The brute-force Wu solve takes one full Steenrod square per basis
-monomial and one ring product per pairing entry, in every degree, where the
-package reads both sides from the top-degree functional.
+columns.  The brute-force isomorphism search tries every row the
+brute-force scan admits, both signs of row 1 included, and recomputes the
+minors gcd of the whole prefix for each, where the package searches row 1
+up to sign and carries a column transform down the tree.  The brute-force
+Wu solve takes one full Steenrod square per basis monomial and one ring
+product per pairing entry, in every degree, where the package reads both
+sides from the top-degree functional.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import sympy as sp
 from bottcoh import GF2, ModularDomain, build_ring, steenrod_square
 from bottcoh.linalg import det_int, solve_mod
 from bottcoh.ring import CohomologyClass
+from bottcoh.search import _stage_pieces
 
 
 def sympy_ring_data(tower):
@@ -136,6 +141,33 @@ def brute_force_minors_gcd(rows, ncols) -> int:
     for cols in combinations(range(ncols), r):
         g = gcd(g, abs(det_int([[row[c] for c in cols] for row in rows])))
     return g
+
+
+def brute_force_iso_search(ring, ring_prime, bound):
+    """The first matrix with entries in [-bound, bound], rows in
+    lexicographic order, of a row-by-row search for a graded ring
+    isomorphism H*(ring') -> H*(ring): row i runs over
+    ``brute_force_scan`` of its stage pieces, positive and negative leading
+    entries alike, and a prefix is kept when ``brute_force_minors_gcd`` of
+    all its rows is 1.  Returns the matrix, or None."""
+    target, source = ring, ring_prime
+    if sorted(source.dims) != sorted(target.dims):
+        return None
+    m = source.height
+    values = range(-bound, bound + 1)
+
+    def dfs(rows):
+        if len(rows) == m:
+            return tuple(rows)
+        pieces = _stage_pieces(source, target, rows, len(rows) + 1)
+        for row in brute_force_scan(target, pieces, max(pieces), values):
+            if brute_force_minors_gcd(rows + [row], m) == 1:
+                found = dfs(rows + [row])
+                if found is not None:
+                    return found
+        return None
+
+    return dfs([])
 
 
 def brute_force_wu_classes(tower):

@@ -61,6 +61,13 @@ def test_bott3_census_witnesses_preserve_p_and_w(
                     assert v.kind in kinds, ((a, b, c), rep, v)
                     kinds[v.kind] += 1
                     if v.kind == DIFFEOMORPHIC:
+                        # the search takes row 1 up to sign: the first
+                        # witness leads with a negative entry, and its
+                        # negative is a witness too
+                        matrix = v.witness.matrix
+                        assert next(x for x in matrix[0] if x) < 0, (rep, t)
+                        negated = tuple(tuple(-x for x in row) for row in matrix)
+                        assert verify_map(build_ring(t), build_ring(rep), negated), (rep, t)
                         assert verify_pontrjagin_preservation(v.witness, rep, t), (rep, t)
                         assert preserves_w(v.witness, rep, t), (rep, t)
                         nontriangular += not is_triangular(v.witness.matrix)

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from bottcoh import (
+    BottcohError,
     StageSpec,
     TowerFormatError,
+    TowerSpec,
     build_ring,
     dualize_stage,
     hirzebruch,
@@ -29,6 +31,32 @@ def test_validate_hirzebruch_shape():
 def test_validate_rejects_columns_in_first_stage():
     with pytest.raises(TowerFormatError, match="stage 1"):
         validate_tower([(2, [[1, 1]])])
+
+
+def test_validate_returns_a_validated_tower_as_it_is():
+    t = validate_tower([(1, []), (2, [[1], [3]])])
+    assert validate_tower(t) is t
+    assert build_ring(t).tower is t
+    # a hand-built TowerSpec is checked once, then kept
+    hand = TowerSpec((StageSpec(1, ((),)), StageSpec(2, ((1,), (3,)))))
+    checked = validate_tower(hand)
+    assert checked == t and checked is not hand
+    assert validate_tower(checked) is checked
+
+
+@pytest.mark.parametrize("stages", [
+    (StageSpec(1, ((1,),)),),  # a column in the first stage
+    (StageSpec(1, ((),)), StageSpec(2, ((1,),))),  # one row for fiber 2
+    (StageSpec(1, ((),)), StageSpec(1, ((True,),))),  # a bool entry
+    (StageSpec(0, ()),),  # fiber dimension 0
+    (),  # no stage
+])
+def test_validate_checks_a_hand_built_tower(stages):
+    hand = TowerSpec(stages)
+    for call in (validate_tower, build_ring):
+        with pytest.raises(TowerFormatError) as info:
+            call(hand)
+        assert isinstance(info.value, BottcohError)  # exit 2 in the CLI
 
 
 def test_validate_generalized_two_stage():
