@@ -2,7 +2,8 @@
 
 Total Chern and Pontrjagin classes come from the stage-wise splitting of the
 tangent bundle: each stage contributes the product over its n_i + 1 summand
-Chern roots (the trivial root included) of (1 + y_i + u) respectively
+Chern roots u (the trivial root included, as ``BottRing.stage_roots`` gives
+them from the ring's stage table) of (1 + y_i + u) respectively
 (1 + (y_i + u)^2).  Wu classes are solved degree by degree from the pairing
 identity integrate(v_d . x) = integrate(Sq^{2d}(x)) against the monomial
 basis.  Both sides are read from one functional, integrate(y^f), the top
@@ -48,14 +49,16 @@ def _check_ring(tower, ring, domain):
     return ring
 
 
-def _stage_roots(ring: BottRing, i: int) -> list[CohomologyClass]:
-    """Summand Chern roots of stage i (1-based), trivial root first."""
-    stage = ring.tower.stages[i - 1]
-    pad = (0,) * (ring.height - stage.columns)
-    roots = [ring.zero()]
-    for row in stage.summand_exponents:
-        roots.append(ring.linear_class(tuple(row) + pad))
-    return roots
+def _stage_product(ring: BottRing, square: bool) -> CohomologyClass:
+    """Product of 1 + x, or of 1 + x * x, over stages i and the roots u of
+    ``ring.stage_roots(i)``, where x = y_i + u."""
+    one = ring.one()
+    total = one
+    for i, y in enumerate(ring.gens(), start=1):
+        for u in ring.stage_roots(i):
+            x = y + u
+            total = total * (one + (x * x if square else x))
+    return total
 
 
 def tangent_chern(tower, ring: BottRing | None = None) -> CohomologyClass:
@@ -64,25 +67,13 @@ def tangent_chern(tower, ring: BottRing | None = None) -> CohomologyClass:
     The product over stages i and summand roots u of (1 + y_i + u), reduced
     in the integer cohomology ring.
     """
-    ring = _check_ring(tower, ring, ZZ)
-    total = ring.one()
-    for i in range(1, ring.height + 1):
-        y = ring.gen(i)
-        for u in _stage_roots(ring, i):
-            total = total * (ring.one() + y + u)
-    return total
+    return _stage_product(_check_ring(tower, ring, ZZ), square=False)
 
 
 def tangent_pontrjagin(tower, ring: BottRing | None = None) -> CohomologyClass:
     """Total Pontrjagin class: the product of (1 + (y_i + u)^2) over stages
     and summand roots."""
-    ring = _check_ring(tower, ring, ZZ)
-    total = ring.one()
-    for i in range(1, ring.height + 1):
-        y = ring.gen(i)
-        for u in _stage_roots(ring, i):
-            total = total * (ring.one() + (y + u) ** 2)
-    return total
+    return _stage_product(_check_ring(tower, ring, ZZ), square=True)
 
 
 def p1_b3(a: int, b: int, c: int) -> CohomologyClass:

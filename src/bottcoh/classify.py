@@ -115,15 +115,16 @@ def is_product_cohomology(tower) -> ProductWitness | ProductObstruction:
     the summand Chern class sum s_i (which forces the twist w_i = s_i /
     (n_i + 1)) and the shifted roots multiply to total Chern class 1 in the
     ring of the lower tower.  Passing every stage is equivalent to product
-    cohomology, and then the tower is a trivial tower of fibrations.
+    cohomology, and then the tower is a trivial tower of fibrations.  The
+    roots are ``stage_roots`` of the tower's own ring: H*(B_{i-1}) embeds
+    in it as the subring on y_1, ..., y_{i-1} (projective bundle formula).
     """
     tower = validate_tower(tower)
-    base = None  # H*(B_{m-1}); H*(B_{i-1}) is its subring on y_1, ..., y_{i-1}
+    ring = None
     twists: list[tuple[int, ...]] = []
     for i, stage in enumerate(tower.stages, start=1):
         n = stage.fiber_dim
-        cols = i - 1
-        sums = [sum(row[j] for row in stage.summand_exponents) for j in range(cols)]
+        sums = [sum(row[j] for row in stage.summand_exponents) for j in range(i - 1)]
         if any(s % (n + 1) for s in sums):
             return ProductObstruction(
                 i,
@@ -132,14 +133,14 @@ def is_product_cohomology(tower) -> ProductWitness | ProductObstruction:
             )
         w = tuple(s // (n + 1) for s in sums)
         if i > 1:
-            if base is None:
-                base = BottRing(TowerSpec(tower.stages[:-1]), ZZ)
-            pad = (0,) * (base.height - cols)
-            w_cls = base.linear_class(w + pad)
-            shifted = base.one()
-            for row in ((0,) * cols,) + stage.summand_exponents:
-                shifted = shifted * (base.one() + base.linear_class(row + pad) - w_cls)
-            if shifted != base.one():
+            if ring is None:
+                ring = BottRing(tower, ZZ)
+            one = ring.one()
+            w_cls = ring.linear_class(w + (0,) * (ring.height - len(w)))
+            shifted = one
+            for u in ring.stage_roots(i):
+                shifted = shifted * (one + u - w_cls)
+            if shifted != one:
                 return ProductObstruction(
                     i,
                     "chern_residue",

@@ -6,12 +6,13 @@ stage,
     f_i = y_i^{n_i+1} + c_1(xi_i) y_i^{n_i} + ... + c_{n_i}(xi_i) y_i,
 
 where c_q(xi_i) is the q-th elementary symmetric polynomial in the stage's
-summand first Chern classes (classes in y_1, ..., y_{i-1}).  Monomials with
-every exponent e_i <= n_i form a free basis; rewriting an overflowing power
-of y_i through f_i strictly lowers the y_i-exponent and only introduces
-variables of smaller index, so reduction to this normal form terminates.
-The generator y_i is minus the first Chern class of the tautological line
-bundle of stage i.
+summand Chern roots u (classes in y_1, ..., y_{i-1}): f_i = y_i prod_u
+(y_i + u).  Monomials with every exponent e_i <= n_i form a free basis;
+rewriting an overflowing power of y_i through f_i strictly lowers the
+y_i-exponent and only introduces variables of smaller index, so reduction
+to this normal form terminates.  The generator y_i is minus the first Chern
+class of the tautological line bundle of stage i.  A ring derives its stage
+table (roots, c_q and the rewriting tail of each f_i) once, when built.
 
 Everything here is an immutable value and every operation is a pure
 function, so concurrent use needs no locking.  Only even-degree cohomology
@@ -33,8 +34,11 @@ from .towers import TowerSpec, validate_tower
 class BottRing:
     """The cohomology ring of a tower over Z, Q or Z/n.
 
-    The relation table is exposed as ``chern``: ``chern[i][q-1]`` is the
-    coefficient dict of c_q(xi_{i+1}) on the monomial basis.
+    The stage table is built stage by stage; stage i reads only the stages
+    below it.  ``chern[i][q-1]`` is the coefficient dict of c_q(xi_{i+1}),
+    ``stage_roots`` gives the roots, and ``_tails[i]`` lists the pairs
+    (g - q e_{i+1}, c) of the terms c y^g y_{i+1}^{n+1-q} of f_{i+1}: normal
+    forms and ``relation_terms`` read it.
     """
 
     __slots__ = (
@@ -43,6 +47,8 @@ class BottRing:
         "domain",
         "_mod",
         "chern",
+        "_tails",
+        "_roots",
         "_nf_cache",
         "_basis_cache",
         "_scan_plans",
@@ -63,30 +69,32 @@ class BottRing:
         self._ranks = None
         self._top = tuple(self.dims)
         m = self.height
+        unit = [(0,) * j + (1,) + (0,) * (m - 1 - j) for j in range(m)]
         chern = []
+        self._tails = []
+        self._roots = []
         for i, stage in enumerate(tower.stages):
             roots = []
             for row in stage.summand_exponents:
-                d = {}
-                for j, a in enumerate(row):
-                    if a:
-                        e = [0] * m
-                        e[j] = 1
-                        d[tuple(e)] = domain.coerce(a)
-                roots.append(d)
-            # elementary symmetric polynomials of the roots, reduced; only
-            # stages < i are touched, which are already in `chern`
-            self.chern = tuple(chern)
-            es = [{(0,) * m: domain.one}]
+                u = {}
+                for e, a in zip(unit, row):
+                    if a and (c := domain.coerce(a)):
+                        u[e] = c
+                roots.append(u)
+            # elementary symmetric polynomials c_1.. of the roots, reduced,
+            # by c_q += c_{q-1} u with c_0 = 1 (c_0 u = u is reduced); only
+            # the tails of stages < i are read, which are already built
+            es = []
             for u in roots:
-                new = [dict(es[0])]
-                for q in range(1, len(es) + 1):
-                    term = self._raw_mul(es[q - 1], u)
-                    if q < len(es):
-                        term = self._raw_add(dict(es[q]), term)
-                    new.append(term)
-                es = new
-            chern.append(tuple(es[1:]))
+                prods = [u] + [self._raw_mul(c, u) for c in es]
+                es = [self._raw_add(dict(c), p) for c, p in zip(es, prods)] + prods[-1:]
+            chern.append(tuple(es))
+            tail = []
+            for q, cq in enumerate(es, start=1):
+                for g, c in cq.items():  # g[i] == 0: c_q lives below stage i
+                    tail.append((g[:i] + (-q,) + g[i + 1:], c))
+            self._tails.append(tail)
+            self._roots.append(roots)
         self.chern = tuple(chern)
 
     # -- structure ---------------------------------------------------------
@@ -121,17 +129,15 @@ class BottRing:
 
     def relation_terms(self, i: int) -> dict:
         """Raw coefficient dict of the stage-i relation f_i (1-based i)."""
-        n = self.dims[i - 1]
-        m = self.height
-        lead = [0] * m
-        lead[i - 1] = n + 1
-        terms = {tuple(lead): self.domain.one}
-        for q in range(1, n + 1):
-            for g, c in self.chern[i - 1][q - 1].items():
-                e = list(g)
-                e[i - 1] += n + 1 - q
-                terms[tuple(e)] = c
+        lead = (0,) * (i - 1) + (self.dims[i - 1] + 1,) + (0,) * (self.height - i)
+        terms = {lead: self.domain.one}
+        terms.update(self._rewrite_steps(lead, i - 1))
         return terms
+
+    def stage_roots(self, i: int) -> list["CohomologyClass"]:
+        """Summand Chern roots of stage i (1-based), trivial root first: the
+        n_i + 1 classes u with f_i = prod_u (y_i + u)."""
+        return [self.zero()] + [CohomologyClass(self, u) for u in self._roots[i - 1]]
 
     # -- normal form -------------------------------------------------------
 
@@ -143,19 +149,9 @@ class BottRing:
         return None
 
     def _rewrite_steps(self, e, i):
-        """One rewriting step of y^e, whose y_i-exponent overflows, through
-        y_i^{n_i+1} = -sum_q c_q(xi_i) y_i^{n_i+1-q}: the pairs (f, c) with
-        y^e = -sum c y^f."""
-        steps = []
-        for q in range(1, self.dims[i] + 1):
-            for g, cg in self.chern[i][q - 1].items():
-                ee = list(e)
-                ee[i] -= q
-                for j in range(i):
-                    if g[j]:
-                        ee[j] += g[j]
-                steps.append((tuple(ee), cg))
-        return steps
+        """One rewriting step of y^e, whose y_i-exponent (0-based i)
+        overflows, through f_i: the pairs (f, c) with y^e = -sum c y^f."""
+        return [(tuple(map(add, e, shift)), c) for shift, c in self._tails[i]]
 
     def _monomial_nf(self, e):
         cached = self._nf_cache.get(e)

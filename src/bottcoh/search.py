@@ -68,14 +68,14 @@ def _compile(ring: BottRing, shape):
     degrees gives each polynomial's possible support, and so a plan that
     every piece of the shape can be filled into.
 
-    Returns ``(zeros, table, groups, levels, width)``: ``zeros`` lists the
+    Returns ``(zeros, table, levels, width)``: ``zeros`` lists the
     monomials mu whose polynomial is only the constant pieces[0][mu];
     ``table[t, beta]`` lists the (root slot, weight) pairs that
-    pieces[t][beta] adds to; ``groups`` holds each polynomial's root slots;
-    ``levels`` and ``width`` are the walk of :func:`_plan`.  A weight is the
-    integer multinomial(alpha) * NF(y^(beta + alpha))[mu], never reduced, so
-    the plan serves a walk modulo any n (a weight that vanishes mod n only
-    keeps a term that adds zero).
+    pieces[t][beta] adds to; ``levels`` and ``width`` are the walk of
+    :func:`_plan`.  A weight is the integer multinomial(alpha) *
+    NF(y^(beta + alpha))[mu], never reduced, so the plan serves a walk
+    modulo any n (a weight that vanishes mod n only keeps a term that adds
+    zero).  Nothing in the plan depends on the largest exponent of a call.
     """
     m = ring.height
     polys: dict = {}  # mu -> alpha -> [(t, beta, weight)]
@@ -102,8 +102,7 @@ def _compile(ring: BottRing, shape):
         for alpha, entries in poly.items():
             for t, beta, w in entries:
                 table.setdefault((t, beta), []).append((slot[alpha], w))
-    groups = [list(slot.values()) for slot in slots]
-    return zeros, table, groups, levels, width
+    return zeros, table, levels, width
 
 
 def _plan(polys, m: int):
@@ -165,10 +164,10 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
     The scan structure is compiled once per ring and piece shape (see
     :func:`_compile`) and kept on the ring, whatever the modulus; each call
     fills the root's coefficients from the pieces, as integers (reduced mod
-    n in a walk mod n, each polynomial scaled by the lcm of its
-    denominators over Q, which keeps its zeros), and walks the polynomials
-    depth-first over the coordinates, with an explicit stack, in the order
-    of ``values`` at each level.  A node is a prefix b_1..b_j with the
+    n in a walk mod n; over Q all scaled by one common denominator, which
+    keeps every polynomial's zeros), and walks the polynomials depth-first
+    over the coordinates, with an explicit stack, in the order of
+    ``values`` at each level.  A node is a prefix b_1..b_j with the
     coefficients of the polynomials still in play after substituting it
     (see :func:`_plan`); each child costs one multiply-add per slot.  A
     polynomial settled by the child's coordinate must vanish (mod n in a
@@ -186,10 +185,10 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
         if piece is not None and not piece.is_zero():
             live[t] = piece
     shape = tuple((t, tuple(piece.degrees())) for t, piece in live.items())
-    plan = ring._scan_plans.get((shape, tmax))
+    plan = ring._scan_plans.get(shape)
     if plan is None:
-        plan = ring._scan_plans[shape, tmax] = _compile(ring, shape)
-    zeros, table, groups, levels, width = plan
+        plan = ring._scan_plans[shape] = _compile(ring, shape)
+    zeros, table, levels, width = plan
     if zeros:  # polynomials that are the constant pieces[0][mu]
         constant = live[0]._c
         if any(constant.get(mu, 0) % mod if mod else mu in constant
@@ -203,10 +202,8 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
     if mod:
         root = [c % mod for c in root]
     elif isinstance(ring.domain.one, Fraction):
-        for slots in groups:
-            scale = lcm(*(root[s].denominator for s in slots))
-            for s in slots:
-                root[s] = int(root[s] * scale)
+        scale = lcm(*(c.denominator for c in root))
+        root = [int(c * scale) for c in root]
     powers = [[v**k for k in range(tmax + 1)] for v in values]
     out = []
     stack = [((), root)]

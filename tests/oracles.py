@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
-The sympy route reduces polynomials modulo the tower relations with a
-Groebner-basis division algorithm, sharing no code with the package's
-rewriting engine.  The randomized reducer exercises arbitrary reduction
-orders to check confluence.  The brute-force scan evaluates the scan
+The sympy route expands each relation from the stage's rows and reduces
+polynomials modulo the relations with a Groebner-basis division algorithm,
+sharing no code with the package's stage table or rewriting engine.  The
+randomized reducer exercises arbitrary reduction orders to check
+confluence.  The brute-force scan evaluates the scan
 expression in the ring once per coefficient vector, sharing no code with
 the package's polynomial expansion.  The brute-force minors gcd computes
 every maximal minor by its own determinant, where the package reduces
@@ -44,6 +45,17 @@ def sympy_ring_data(tower):
     gens = tuple(reversed(ys))
     basis = sp.groebner(rels, *gens, order="lex")
     return ys, gens, basis
+
+
+def sympy_relation(tower, i) -> dict:
+    """y_i prod_rows (y_i + row . y) of stage i (1-based), expanded by
+    sympy, as {exponents: coeff}."""
+    ys = sp.symbols(f"y1:{tower.height + 1}")
+    f = ys[i - 1]
+    for row in tower.stages[i - 1].summand_exponents:
+        f *= ys[i - 1] + sum(a * y for a, y in zip(row, ys))
+    poly = sp.Poly(sp.expand(f), *ys)
+    return {tuple(int(k) for k in mono): int(c) for mono, c in poly.terms() if c}
 
 
 def sympy_normal_form(tower, terms) -> dict:

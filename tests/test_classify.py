@@ -15,11 +15,15 @@ from bottcoh import (
     classify_3stage,
     hirzebruch,
     is_product_cohomology,
+    iso_search,
     product_tower,
     q_product_b3,
     validate_tower,
+    verify_map,
     verify_pontrjagin_preservation,
 )
+
+from .conftest import random_tower
 
 
 def test_is_product_hirzebruch_even():
@@ -73,6 +77,56 @@ def test_product_witness_generators_are_nilpotent():
         ring = build_ring(tower)
         for i, x in enumerate(w.generator_classes(ring)):
             assert (x ** (tower.dims[i] + 1)).is_zero(), (tower, i)
+
+
+def test_is_product_validates_no_stage_again(monkeypatch):
+    # the towers are validated already, and the stage roots come from the
+    # tower's own ring, so no stage row is read through validation again
+    import bottcoh.towers
+
+    towers = [
+        bott_tower_3(0, 0, 0),
+        bott_tower_3(1, 2, 0),
+        validate_tower([(2, []), (1, [[2]])]),
+        validate_tower([(1, []), (2, [[2], [4]]), (1, [[1, 1]])]),
+    ]
+    calls = []
+    real = bottcoh.towers._as_tuple
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bottcoh.towers, "_as_tuple", counting)
+    for tower in towers:
+        is_product_cohomology(tower)
+    assert calls == []
+
+
+def _max_entry(tower):
+    return max((abs(v) for s in tower.stages for r in s.summand_exponents for v in r), default=0)
+
+
+def test_is_product_agrees_with_the_isomorphism_search(rng):
+    # a ProductWitness exactly when the search finds an isomorphism from the
+    # product ring in a box that holds every twist; the witness's own
+    # generator change is then such an isomorphism
+    census = [bott_tower_3(a, b, c) for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)]
+    seeded = [t for t in (random_tower(rng, max_height=4, max_dim=2, max_entry=2) for _ in range(150))
+              if t.height > 1]
+    verdicts = []
+    for tower in census + seeded:
+        result = is_product_cohomology(tower)
+        ring = build_ring(tower, ZZ)
+        product = build_ring(product_tower(tower.dims), ZZ)
+        found = iso_search(ring, product, max(1, _max_entry(tower)))
+        assert isinstance(result, ProductWitness) == (found is not None), tower
+        if found is not None:
+            rm = verify_map(product, ring, result.generator_matrix())
+            assert rm is not None and rm.is_isomorphism, tower
+        verdicts.append(found is not None)
+    assert sum(verdicts[:len(census)]) == 15
+    assert 0 < sum(verdicts[len(census):]) < len(seeded)
 
 
 def test_is_product_invariant_under_dualize():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from bottcoh import (
     ZZ,
     DomainMismatchError,
     IsoWitness,
+    ModularDomain,
     RingMismatchError,
     UnverifiedMapError,
     apply_map,
@@ -28,7 +30,12 @@ from bottcoh import (
 from bottcoh.linalg import det_int
 
 from .conftest import random_tower
-from .oracles import class_terms, random_order_reduce, sympy_normal_form
+from .oracles import (
+    class_terms,
+    random_order_reduce,
+    sympy_normal_form,
+    sympy_relation,
+)
 
 
 def test_relations_hirzebruch():
@@ -55,6 +62,48 @@ def test_relations_generalized_elementary_symmetric():
     r = build_ring(validate_tower([(1, []), (2, [[1], [3]])]))
     assert r.chern[1][0] == {(1, 0): 4}
     assert r.chern[1][1] == {}
+
+
+def test_relation_terms_are_the_reduced_root_product(rng):
+    # f_i minus y_i prod_rows (y_i + row . y) reduces to zero, and every term
+    # but the leading one is a basis monomial: together these pin the unique
+    # reduced relation, dropping the vanishing c_2 = 3 y_1^2 of stage 2 here
+    pinned = validate_tower([(1, []), (2, [[1], [3]]), (1, [[2, -1]])])
+    assert build_ring(pinned).relation_terms(2) == {(0, 3, 0): 1, (1, 2, 0): 4}
+    for tower in [pinned] + [random_tower(rng) for _ in range(12)]:
+        ring = build_ring(tower)
+        gf3 = build_ring(tower, ModularDomain(3))
+        for i, n in enumerate(tower.dims, start=1):
+            terms = ring.relation_terms(i)
+            lead = tuple(n + 1 if j == i - 1 else 0 for j in range(tower.height))
+            assert terms.pop(lead) == 1
+            assert all(c and all(map(le, e, tower.dims)) for e, c in terms.items())
+            diff = {lead: 1, **terms}
+            for e, c in sympy_relation(tower, i).items():
+                diff[e] = diff.get(e, 0) - c
+            assert sympy_normal_form(tower, diff) == {}, (tower, i)
+            reduced = {e: c % 3 for e, c in terms.items() if c % 3}
+            assert gf3.relation_terms(i) == {lead: 1, **reduced}
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, ModularDomain(2)], ids=str)
+def test_stage_roots_split_the_relation(domain, rng):
+    # trivial root first, then the rows as classes (equality of classes
+    # means no zero coefficient is stored), and f_i = prod_u (y_i + u)
+    # over them vanishes in the ring
+    for _ in range(12):
+        tower = random_tower(rng, max_height=3)
+        ring = build_ring(tower, domain)
+        for i, stage in enumerate(tower.stages, start=1):
+            pad = (0,) * (tower.height - i + 1)
+            roots = ring.stage_roots(i)
+            assert roots == [ring.zero()] + [
+                ring.linear_class(row + pad) for row in stage.summand_exponents
+            ]
+            product = ring.one()
+            for u in roots:
+                product = product * (ring.gen(i) + u)
+            assert product.is_zero(), (tower, i)
 
 
 def test_normal_form_examples():
