@@ -408,15 +408,15 @@ class CohomologyClass:
     def __pow__(self, k: int):
         if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
+        result = None  # start from the first factor, not from one
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return self.ring.one() if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, CohomologyClass):

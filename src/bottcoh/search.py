@@ -25,12 +25,14 @@ of y_l y_k in h^2 involves b_k and lower coordinates only, so most
 prefixes die well before the last coordinate.
 
 The isomorphism search fixes the rows of a matrix depth-first, each row a
-scan.  It searches row 1 up to sign: every relation is homogeneous and the
-box is symmetric, so -M is a witness whenever M is, and only rows 1 whose
-first nonzero entry is negative are tried.  Its unimodularity prune carries
-a column transform down the tree that clears the rows fixed so far, so each
-candidate row costs the gcd of its m - depth free entries instead of a
-reduction of the whole prefix.
+scan whose pieces are the Chern classes c_q of the stage table, mapped by
+the rows fixed so far; the walk is a recursive generator, taken at its
+first item.  It searches row 1 up to sign: every relation is homogeneous
+and the box is symmetric, so -M is a witness whenever M is, and only rows
+1 whose first nonzero entry is negative are tried.  Its unimodularity
+prune carries a column transform down the tree that clears the rows fixed
+so far, so each candidate row costs the gcd of its m - depth free entries
+instead of a reduction of the whole prefix.
 
 Results are deterministic: candidates are enumerated in lexicographic order
 and the first complete witness is returned, which makes it the
@@ -254,17 +256,15 @@ def square_zero_elements(ring: BottRing, k: int, bound: int) -> list[CohomologyC
 
 def _stage_pieces(source: BottRing, target: BottRing, rows, i: int) -> dict:
     """Scan pieces for row i of an iso_search matrix whose earlier rows are
-    ``rows``: the source relation f_i split by the exponent t of the i-th
-    primed generator, each cofactor mapped into the target.  The cofactors
-    only involve generators < i, whose rows are fixed."""
-    split: dict[int, dict] = {}
-    for e, c in source.relation_terms(i).items():
-        t = e[i - 1]
-        rest = list(e)
-        rest[i - 1] = 0
-        split.setdefault(t, {})[tuple(rest)] = c
+    ``rows``: f_i = sum_q c_q y_i^(n_i+1-q), so piece n_i+1-q is the image
+    of c_q, read from the stage table (c_0 = 1).  The c_q only involve
+    generators < i, whose rows are fixed; a zero c_q gives a zero piece."""
     images = [target.linear_class(row) for row in rows]
-    return {t: image_of_terms(target, images, part) for t, part in split.items()}
+    top = source.dims[i - 1] + 1
+    pieces = {top: target.one()}
+    for q, cq in enumerate(source.chern[i - 1], start=1):
+        pieces[top - q] = image_of_terms(target, images, cq)
+    return pieces
 
 
 def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness | None:
@@ -274,7 +274,10 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     Row i of a candidate matrix expresses the image of the i-th primed
     generator in the unprimed basis.  Matrices are tried in lexicographic
     order (row 1 varies slowest); rows are filtered stage by stage, which is
-    possible because the i-th relation only involves the first i generators.
+    possible because the i-th relation only involves the first i generators
+    (its pieces are the c_q of stage i, see :func:`_stage_pieces`).  The DFS
+    is a generator of the stage-verified matrices in this order, taken at
+    its first item.
 
     Row 1 is searched up to sign.  Each relation is homogeneous, so -M is a
     witness whenever M is, and the box is symmetric; of M and -M the one
@@ -298,35 +301,28 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     if sorted(source.dims) != sorted(target.dims):
         return None
     m = source.height
-    rows: list[tuple[int, ...]] = []
-    found = None
 
-    def dfs(cols) -> bool:
-        # cols[j] is column j of U; prefix @ U vanishes on cols[depth:]
-        nonlocal found
+    def matrices(rows, cols):
+        # cols[j] is column j of U; rows @ U vanishes on cols[depth:]
         depth = len(rows)
         if depth == m:
             # every row kept the minors gcd at 1, and the only maximal
             # minor of the square matrix is its determinant: |det| == 1
-            found = tuple(rows)
-            return True
+            yield rows
+            return
         pieces = _stage_pieces(source, target, rows, depth + 1)
-        candidates = _scan(target, pieces, max(pieces), values)
         free = cols[depth:]
-        for row in candidates:
+        for row in _scan(target, pieces, max(pieces), values):
             if not depth and next(filter(None, row)) > 0:
                 continue  # its negative is tried first (sign rule)
             tail = [sum(map(mul, row, col)) for col in free]
             if minors_gcd([tail], m - depth) != 1:
                 continue
-            rows.append(row)
-            if dfs(cols[:depth] + clear_row(tail, free)[1]):
-                return True
-            rows.pop()
-        return False
+            yield from matrices(rows + (row,), cols[:depth] + clear_row(tail, free)[1])
 
     identity = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-    if not dfs(identity):
+    found = next(matrices((), identity), None)
+    if found is None:
         return None
     rm = verify_map(source, target, found)
     if rm is None:  # cannot happen: every stage image was checked

@@ -8,10 +8,12 @@ confluence.  The brute-force scan evaluates the scan
 expression in the ring once per coefficient vector, sharing no code with
 the package's polynomial expansion.  The brute-force minors gcd computes
 every maximal minor by its own determinant, where the package reduces
-columns.  The brute-force isomorphism search tries every row the
-brute-force scan admits, both signs of row 1 included, and recomputes the
-minors gcd of the whole prefix for each, where the package searches row 1
-up to sign and carries a column transform down the tree.  The brute-force
+columns.  The brute-force isomorphism search splits each relation's terms
+by the exponent of y_i, where the package reads the pieces from the Chern
+classes of the stage table; it tries every row the brute-force scan
+admits, both signs of row 1 included, and recomputes the minors gcd of the
+whole prefix for each, where the package searches row 1 up to sign and
+carries a column transform down the tree.  The brute-force
 Wu solve takes one full Steenrod square per basis monomial and one ring
 product per pairing entry, in every degree, where the package reads both
 sides from the top-degree functional.
@@ -26,8 +28,7 @@ import sympy as sp
 
 from bottcoh import GF2, ModularDomain, build_ring, steenrod_square
 from bottcoh.linalg import det_int, solve_mod
-from bottcoh.ring import CohomologyClass
-from bottcoh.search import _stage_pieces
+from bottcoh.ring import CohomologyClass, image_of_terms
 
 
 def sympy_ring_data(tower):
@@ -155,11 +156,25 @@ def brute_force_minors_gcd(rows, ncols) -> int:
     return g
 
 
+def relation_split(source, target, rows, i) -> dict:
+    """Stage pieces of row i read off the relation itself: the terms of
+    ``source.relation_terms(i)`` grouped by their exponent t of y_i, with
+    y_i^t dropped, each group mapped into the target by the earlier
+    ``rows``.  An exponent that occurs in no term has no key."""
+    split: dict[int, dict] = {}
+    for e, c in source.relation_terms(i).items():
+        rest = list(e)
+        rest[i - 1] = 0
+        split.setdefault(e[i - 1], {})[tuple(rest)] = c
+    images = [target.linear_class(row) for row in rows]
+    return {t: image_of_terms(target, images, part) for t, part in split.items()}
+
+
 def brute_force_iso_search(ring, ring_prime, bound):
     """The first matrix with entries in [-bound, bound], rows in
     lexicographic order, of a row-by-row search for a graded ring
     isomorphism H*(ring') -> H*(ring): row i runs over
-    ``brute_force_scan`` of its stage pieces, positive and negative leading
+    ``brute_force_scan`` of its ``relation_split``, positive and negative leading
     entries alike, and a prefix is kept when ``brute_force_minors_gcd`` of
     all its rows is 1.  Returns the matrix, or None."""
     target, source = ring, ring_prime
@@ -171,7 +186,7 @@ def brute_force_iso_search(ring, ring_prime, bound):
     def dfs(rows):
         if len(rows) == m:
             return tuple(rows)
-        pieces = _stage_pieces(source, target, rows, len(rows) + 1)
+        pieces = relation_split(source, target, rows, len(rows) + 1)
         for row in brute_force_scan(target, pieces, max(pieces), values):
             if brute_force_minors_gcd(rows + [row], m) == 1:
                 found = dfs(rows + [row])

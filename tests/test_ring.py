@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bottcoh import (
     GF2,
+    BottRing,
     QQ,
     ZZ,
     DomainMismatchError,
@@ -179,6 +180,34 @@ def test_power_examples():
         r3 = build_ring(bott_tower_3(a, b, c))
         x = r3.linear_class((b, c, 2))
         assert power(r3, x, 2).is_zero()
+
+
+@pytest.mark.parametrize("domain", [ZZ, ModularDomain(3)], ids=str)
+def test_power_starts_from_the_first_factor(domain, rng, monkeypatch):
+    # x ** k squares k.bit_length() - 1 times and multiplies the squares
+    # popcount(k) - 1 times; it never multiplies by one
+    raw_mul = BottRing._raw_mul
+    calls = []
+
+    def counting_mul(ring, a, b):
+        calls.append(ring)
+        return raw_mul(ring, a, b)
+
+    for _ in range(12):
+        ring = build_ring(random_tower(rng), domain)
+        terms = {e: rng.randint(-2, 2) for d in range(ring.top_degree + 1)
+                 for e in ring.basis(d) if rng.random() < 0.5}
+        x = ring.from_terms(terms)
+        powers = [ring.one()]
+        for _ in range(6):
+            powers.append(powers[-1] * x)
+        monkeypatch.setattr(BottRing, "_raw_mul", counting_mul)
+        for k, expected in enumerate(powers):
+            calls.clear()
+            got = x ** k
+            assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
+            assert got == expected, (ring.tower, terms, k)
+        monkeypatch.undo()
 
 
 def test_graded_rank_examples():

@@ -35,6 +35,7 @@ from .oracles import (
     brute_force_minors_gcd,
     brute_force_scan,
     brute_force_square_zero_count,
+    relation_split,
 )
 
 DOMAINS = [ZZ, QQ, GF2, ModularDomain(4)]
@@ -503,6 +504,59 @@ def test_iso_search_prunes_one_single_row_per_candidate(t, tp, monkeypatch):
         assert len(calls) == candidates
     else:
         assert len(calls) <= candidates
+
+
+# c_2 = 3 y_1^2 = 0 at stage 2: its relation y_2^3 + 4 y_1 y_2^2 has no
+# term linear in y_2
+GEN = validate_tower([(1, []), (2, [[1], [3]]), (1, [[2, -1]])])
+GEN_DUAL = GEN.replace_stage(3, dualize_stage(GEN.stages[-1]))
+WALK = bott_tower([[], [1], [-1, 2], [0, 1, -2]])
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, GF2, ModularDomain(3)], ids=str)
+def test_stage_pieces_are_the_relation_split(domain, rng):
+    # the c_q of the stage table give the pieces that splitting the
+    # relation's terms by the exponent of y_i gives; a zero piece stands
+    # where the split has no key
+    towers = [GEN] + CENSUS_3 + [
+        random_tower(rng, max_height=4, max_dim=3) for _ in range(30)]
+    for tower in towers:
+        ring = build_ring(tower, domain)
+        m = ring.height
+        for i in range(1, m + 1):
+            rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
+            got = _stage_pieces(ring, ring, rows, i)
+            expected = relation_split(ring, ring, rows, i)
+            assert sorted(got) == list(range(1, ring.dims[i - 1] + 2))
+            assert {t: p for t, p in got.items() if not p.is_zero()} == {
+                t: p for t, p in expected.items() if not p.is_zero()
+            }, (tower, domain, rows, i)
+    if domain == ZZ:
+        ring = build_ring(GEN)
+        pieces = _stage_pieces(ring, ring, [(1, 0, 0)], 2)
+        assert pieces[1].is_zero() and 1 not in relation_split(ring, ring, [(1, 0, 0)], 2)
+
+
+@pytest.mark.parametrize("t, tp, bound, scans, found", [
+    (GEN, GEN_DUAL, 2, 3, True),
+    (WALK, WALK.replace_stage(4, dualize_stage(WALK.stages[-1])), 2, 9, True),
+    (WALK, bott_tower([[], [-1], [1, -2], [0, 1, 2]]), 2, 7, False),
+    (bott_tower_3(2, 1, 1), bott_tower_3(-2, -1, 1), 4, 9, True),
+])
+def test_iso_search_walks_no_further_than_its_first_witness(
+        t, tp, bound, scans, found, monkeypatch):
+    # one scan per DFS node; a search with a witness stops at it, and the
+    # counts pin the walk of the row-by-row search
+    calls = []
+
+    def counting_scan(*args):
+        calls.append(args)
+        return _scan(*args)
+
+    monkeypatch.setattr(search, "_scan", counting_scan)
+    witness = iso_search(build_ring(t), build_ring(tp), bound)
+    assert len(calls) == scans
+    assert (witness is not None) == found
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 4, 8])
