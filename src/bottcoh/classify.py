@@ -272,7 +272,7 @@ def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
 def _residue_square_zero_count(ring: BottRing, modulus: int) -> int:
     """The Z/modulus square-zero count of a ring over Z, from one residue
     scan; the ring keeps the {2: 1} plan for every modulus and the search."""
-    return len(_scan(ring, {2: ring.one()}, 2, range(modulus), modulus))
+    return sum(1 for _ in _scan(ring, {2: ring.one()}, 2, range(modulus), modulus))
 
 
 def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:

@@ -2,9 +2,10 @@
 
 Exit codes: 0 when the computation succeeded (affirmative verdicts
 included), 1 for negative verdicts (DISTINCT, UNKNOWN, no witness found,
-not a product, nontrivial bundle), 2 for malformed input.  ``--json``
-switches to canonical machine output: keys sorted, compact separators, so
-parsing and re-serializing a report is byte-identical.
+not a product, nontrivial bundle), 2 for malformed input or a computation
+that runs out of memory.  ``--json`` switches to canonical machine output:
+keys sorted, compact separators, so parsing and re-serializing a report is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -223,6 +224,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (BottcohError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

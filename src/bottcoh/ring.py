@@ -573,9 +573,10 @@ def image_of_terms(target: BottRing, images, terms: dict) -> CohomologyClass:
     """Image of a raw coefficient dict under the ring homomorphism that
     sends y'_j to the class ``images[j]`` of ``target``.
 
-    Entries of ``images`` beyond the variables that actually occur in
-    ``terms`` are never read, which lets searches verify relations stage by
-    stage.
+    ``images`` is a sequence or a mapping; its entries for variables that
+    do not occur in ``terms`` are never read, which lets searches verify
+    relations stage by stage and map only the generators a relation
+    involves.
     """
     one = {(0,) * target.height: target.domain.one}
     mul = target._raw_mul
@@ -585,7 +586,9 @@ def image_of_terms(target: BottRing, images, terms: dict) -> CohomologyClass:
         term = one
         for j, ej in enumerate(e):
             if ej:
-                chain = powers.setdefault(j, [one])
+                chain = powers.get(j)
+                if chain is None:  # images[j] is already in normal form
+                    chain = powers[j] = [one, images[j]._c]
                 while len(chain) <= ej:
                     chain.append(mul(chain[-1], images[j]._c))
                 term = chain[ej] if term is one else mul(term, chain[ej])

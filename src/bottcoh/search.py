@@ -1,11 +1,11 @@
 """Bounded enumeration over degree-2 classes.
 
-One scan primitive ("find all coefficient vectors b in a box where a fixed
-polynomial expression in the class sum b_j y_j vanishes") serves every
-enumeration over Z, Q and Z/n: the square-zero search used by the
-rational-product criterion, the residue-box square-zero counts of the
-3-stage invariant battery, and the row-by-row search for unimodular
-matrices inducing graded ring isomorphisms.
+One scan primitive ("generate, in lexicographic order, the coefficient
+vectors b in a box where a fixed polynomial expression in the class sum
+b_j y_j vanishes") serves every enumeration over Z, Q and Z/n: the
+square-zero search used by the rational-product criterion, the residue-box
+square-zero counts of the 3-stage invariant battery, and the row-by-row
+search for unimodular matrices inducing graded ring isomorphisms.
 
 The expression is one polynomial in b per basis monomial, linear in the
 pieces.  The scan structure (which polynomials can occur, their supports,
@@ -24,15 +24,18 @@ whole prefix at once (early rejection).  In a Bott tower the coefficient
 of y_l y_k in h^2 involves b_k and lower coordinates only, so most
 prefixes die well before the last coordinate.
 
-The isomorphism search fixes the rows of a matrix depth-first, each row a
-scan whose pieces are the Chern classes c_q of the stage table, mapped by
-the rows fixed so far; the walk is a recursive generator, taken at its
-first item.  It searches row 1 up to sign: every relation is homogeneous
-and the box is symmetric, so -M is a witness whenever M is, and only rows
-1 whose first nonzero entry is negative are tried.  Its unimodularity
-prune carries a column transform down the tree that clears the rows fixed
-so far, so each candidate row costs the gcd of its m - depth free entries
-instead of a reduction of the whole prefix.
+The isomorphism search fixes the rows of a matrix depth-first; the DFS is
+a recursive generator, taken at its first item.  A row's candidates are
+lazily walked streams, one per stage image: the scan's pieces are the
+Chern classes c_q of the stage table mapped by the rows fixed so far, and
+the c_q read only the rows of the generators they involve, so DFS nodes
+whose prefixes agree on those rows pull from one walk, which advances only
+as far as some node takes it.  It searches row 1 up to sign: every
+relation is homogeneous and the box is symmetric, so -M is a witness
+whenever M is, and only rows 1 whose first nonzero entry is negative are
+tried.  Its unimodularity prune carries a column transform down the tree
+that clears the rows fixed so far, so each candidate row costs the gcd of
+its m - depth free entries instead of a reduction of the whole prefix.
 
 Results are deterministic: candidates are enumerated in lexicographic order
 and the first complete witness is returned, which makes it the
@@ -41,8 +44,9 @@ lexicographically smallest one.
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, tee
 from math import factorial, lcm
 from operator import mul
 
@@ -154,7 +158,7 @@ def _plan(polys, m: int):
 
 
 def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
-    """All nonzero b in values^m, in lexicographic order, with
+    """Generate every nonzero b in values^m, in lexicographic order, with
     sum_t pieces[t] * (sum_j b_j y_j)^t == 0 (mod ``mod``).
 
     ``values`` lists the coefficients tried per coordinate, in order: a
@@ -176,7 +180,8 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
     walk mod n), else the child and its whole subtree are skipped; once
     settled it is dropped.  At the last coordinate every remaining
     polynomial is univariate and settles, so a leaf is a solution exactly
-    when all of them vanish.
+    when all of them vanish.  The walk is lazy: it advances only as far as
+    its consumer takes vectors.
     """
     m = ring.height
     if mod is None:
@@ -195,7 +200,7 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
         constant = live[0]._c
         if any(constant.get(mu, 0) % mod if mod else mu in constant
                for mu in zeros):
-            return []  # a nonzero constant polynomial: no b solves it
+            return  # a nonzero constant polynomial: no b solves it
     root = [0] * width
     for t, piece in live.items():
         for beta, c in piece.items():
@@ -207,7 +212,6 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
         scale = lcm(*(c.denominator for c in root))
         root = [int(c * scale) for c in root]
     powers = [[v**k for k in range(tmax + 1)] for v in values]
-    out = []
     stack = [((), root)]
     while stack:
         prefix, coeffs = stack.pop()
@@ -228,10 +232,9 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
                         child[ci] += coeffs[i] * pw[k]
                     children.append((vec, child))
                 elif any(vec):
-                    out.append(vec)
+                    yield vec
         children.reverse()
         stack += children
-    return out
 
 
 def _check_bound(bound) -> range:
@@ -254,12 +257,20 @@ def square_zero_elements(ring: BottRing, k: int, bound: int) -> list[CohomologyC
     return [ring.linear_class(v) for v in vectors]
 
 
+def _stage_reads(ring: BottRing, i: int) -> tuple:
+    """The generators y_j (0-based j < i - 1) that the c_q of stage i
+    involve: the earlier rows of a matrix that row i's pieces depend on."""
+    return tuple(sorted({j for cq in ring.chern[i - 1] for g in cq
+                         for j, e in enumerate(g) if e}))
+
+
 def _stage_pieces(source: BottRing, target: BottRing, rows, i: int) -> dict:
     """Scan pieces for row i of an iso_search matrix whose earlier rows are
     ``rows``: f_i = sum_q c_q y_i^(n_i+1-q), so piece n_i+1-q is the image
     of c_q, read from the stage table (c_0 = 1).  The c_q only involve
-    generators < i, whose rows are fixed; a zero c_q gives a zero piece."""
-    images = [target.linear_class(row) for row in rows]
+    generators < i, whose rows are fixed, and only the rows of the
+    generators they involve are mapped; a zero c_q gives a zero piece."""
+    images = {j: target.linear_class(rows[j]) for j in _stage_reads(source, i)}
     top = source.dims[i - 1] + 1
     pieces = {top: target.one()}
     for q, cq in enumerate(source.chern[i - 1], start=1):
@@ -278,6 +289,12 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     (its pieces are the c_q of stage i, see :func:`_stage_pieces`).  The DFS
     is a generator of the stage-verified matrices in this order, taken at
     its first item.
+
+    Row i's candidates are lazily walked streams, one per stage image: the
+    pieces depend only on the earlier rows that the c_q of stage i read
+    (:func:`_stage_reads`), so within one call every DFS node with the same
+    such rows gets an independent cursor over one shared, buffered walk,
+    and no walk goes past the last candidate some node has taken.
 
     Row 1 is searched up to sign.  Each relation is homogeneous, so -M is a
     witness whenever M is, and the box is symmetric; of M and -M the one
@@ -301,6 +318,18 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     if sorted(source.dims) != sorted(target.dims):
         return None
     m = source.height
+    reads = [_stage_reads(source, i) for i in range(1, m + 1)]
+    streams: dict = {}  # stage image -> its candidate rows, walked once
+
+    def candidates(rows):
+        depth = len(rows)
+        key = (depth,) + tuple(rows[j] for j in reads[depth])
+        stream = streams.get(key)
+        if stream is None:
+            pieces = _stage_pieces(source, target, rows, depth + 1)
+            walk = _scan(target, pieces, max(pieces), values)
+            stream = streams[key] = tee(walk, 1)[0]
+        return copy(stream)  # an independent cursor over the shared walk
 
     def matrices(rows, cols):
         # cols[j] is column j of U; rows @ U vanishes on cols[depth:]
@@ -310,9 +339,8 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
             # minor of the square matrix is its determinant: |det| == 1
             yield rows
             return
-        pieces = _stage_pieces(source, target, rows, depth + 1)
         free = cols[depth:]
-        for row in _scan(target, pieces, max(pieces), values):
+        for row in candidates(rows):
             if not depth and next(filter(None, row)) > 0:
                 continue  # its negative is tried first (sign rule)
             tail = [sum(map(mul, row, col)) for col in free]

@@ -15,6 +15,7 @@ from bottcoh import (
     product_tower,
     validate_tower,
 )
+from bottcoh import cli
 from bottcoh.cli import canonical_json, main
 
 
@@ -142,6 +143,20 @@ def test_invalid_mod_exit_2(tower_file, capsys, mod):
     code, out, err = run_cli(capsys, "--json", "ring", h1, "--mod", mod)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "modulus" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exit_2(tower_file, capsys, monkeypatch):
+    # a ring too large for memory ends in an error line and exit 2, not in
+    # a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_ring", exhausted)
+    h1 = tower_file("h1.json", hirzebruch(1))
+    code, out, err = run_cli(capsys, "--json", "ring", h1)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "memory" in err
     assert "Traceback" not in err
 
 

@@ -29,6 +29,7 @@ from bottcoh import (
     verify_map,
 )
 from bottcoh.linalg import det_int
+from bottcoh.ring import image_of_terms
 
 from .conftest import random_tower
 from .oracles import (
@@ -208,6 +209,39 @@ def test_power_starts_from_the_first_factor(domain, rng, monkeypatch):
             assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
             assert got == expected, (ring.tower, terms, k)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("tower, i, products", [
+    (bott_tower_3(1, -2, 3), 3, 3),  # y3^2 - 2 y1 y3 + 3 y2 y3
+    (validate_tower([(1, []), (2, [[1], [3]])]), 2, 3),  # y2^3 + 4 y1 y2^2
+])
+def test_image_of_terms_starts_power_chains_at_the_image(tower, i, products,
+                                                         monkeypatch):
+    # images[j] is already in normal form, so only powers above the first
+    # and products of several variables cost a ring product
+    raw_mul = BottRing._raw_mul
+    calls = []
+
+    def counting_mul(ring, a, b):
+        calls.append(ring)
+        return raw_mul(ring, a, b)
+
+    ring = build_ring(tower)
+    images = [ring.linear_class([j + 1, -1, 2][:ring.height]) for j in range(ring.height)]
+    cases = [({e: 1 for e in ring.basis(1)}, 0), (ring.relation_terms(i), products)]
+    for terms, expected_calls in cases:
+        expected = ring.zero()
+        for e, c in terms.items():
+            term = ring.scalar(c)
+            for image, k in zip(images, e):
+                term = term * image ** k
+            expected = expected + term
+        monkeypatch.setattr(BottRing, "_raw_mul", counting_mul)
+        calls.clear()
+        got = image_of_terms(ring, images, terms)
+        monkeypatch.undo()
+        assert len(calls) == expected_calls, terms
+        assert got == expected
 
 
 def test_graded_rank_examples():

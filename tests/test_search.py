@@ -207,7 +207,7 @@ def test_iso_search_first_witness_is_lex_minimal():
 def scan_parity(ring, pieces, tmax, bound):
     values = range(-bound, bound + 1)
     expected = brute_force_scan(ring, pieces, tmax, values)
-    got = _scan(ring, pieces, tmax, values)
+    got = list(_scan(ring, pieces, tmax, values))
     assert got == expected, (ring, pieces, tmax, bound)
     return got
 
@@ -475,6 +475,28 @@ def test_carried_transform_gives_the_minors_gcd(rng):
     assert min(checked.values()) > 300, checked
 
 
+def dfs_candidates(source, target, bound):
+    """Candidate rows the exhaustive search tries, summed over the nodes of
+    its DFS: a node's candidates are its stage scan (row 1 only with a
+    negative leading entry), and a candidate that keeps the minors gcd at
+    1 below the last row is a child node."""
+    m = source.height
+    values = range(-bound, bound + 1)
+
+    def tried(rows):
+        pieces = _stage_pieces(source, target, rows, len(rows) + 1)
+        rows_next = list(_scan(target, pieces, max(pieces), values))
+        if not rows:
+            rows_next = [row for row in rows_next if next(v for v in row if v) < 0]
+        total = len(rows_next)
+        for row in rows_next:
+            if len(rows) + 1 < m and brute_force_minors_gcd(rows + [row], m) == 1:
+                total += tried(rows + [row])
+        return total
+
+    return tried([])
+
+
 @pytest.mark.parametrize("t, tp", [
     (bott_tower_3(1, 1, 1), bott_tower_3(1, -1, -1)),  # a witness
     (HEIGHT_4[0], HEIGHT_4[1]),  # no witness: the box is exhausted
@@ -483,7 +505,7 @@ def test_iso_search_prunes_one_single_row_per_candidate(t, tp, monkeypatch):
     scans, calls = [], []
 
     def recording_scan(*args):
-        out = _scan(*args)
+        out = list(_scan(*args))
         scans.append(out)
         return out
 
@@ -491,15 +513,18 @@ def test_iso_search_prunes_one_single_row_per_candidate(t, tp, monkeypatch):
         calls.append(rows)
         return minors_gcd(rows, ncols)
 
+    target, source = build_ring(t), build_ring(tp)
+    candidates = dfs_candidates(source, target, 2)
     monkeypatch.setattr(search, "_scan", recording_scan)
     monkeypatch.setattr(search, "minors_gcd", recording_minors_gcd)
-    witness = iso_search(build_ring(t), build_ring(tp), 2)
+    witness = iso_search(target, source, 2)
     assert calls and all(len(rows) == 1 for rows in calls)
     # row 1 is tried only with a negative leading entry, later rows all;
     # at row 1 the transform is the identity, so the tail is the row
     row1 = [row for row in scans[0] if next(v for v in row if v) < 0]
     assert tuple(calls[0][0]) == row1[0]
-    candidates = len(row1) + sum(map(len, scans[1:]))
+    # one prune call per candidate per DFS node, also where nodes share
+    # the walk of one stage image
     if witness is None:
         assert len(calls) == candidates
     else:
@@ -545,8 +570,8 @@ def test_stage_pieces_are_the_relation_split(domain, rng):
 ])
 def test_iso_search_walks_no_further_than_its_first_witness(
         t, tp, bound, scans, found, monkeypatch):
-    # one scan per DFS node; a search with a witness stops at it, and the
-    # counts pin the walk of the row-by-row search
+    # one walk per stage image the DFS reaches; a search with a witness
+    # stops at it, and the counts pin the walk of the row-by-row search
     calls = []
 
     def counting_scan(*args):
@@ -557,6 +582,52 @@ def test_iso_search_walks_no_further_than_its_first_witness(
     witness = iso_search(build_ring(t), build_ring(tp), bound)
     assert len(calls) == scans
     assert (witness is not None) == found
+
+
+def test_iso_search_shares_walks_between_stage_images(seed, monkeypatch):
+    # Bott towers with zero entries have stages whose c_q skip earlier
+    # generators, so DFS nodes whose prefixes differ only in skipped rows
+    # share one walk.  The search must still agree with the oracle, and
+    # start fewer walks than its DFS has nodes that scan: the root, plus a
+    # child per candidate that keeps the minors gcd at 1, less the leaf of
+    # a witness.  The oracle costs 3^m vectors per node, so pairs whose
+    # DFS exceeds 60 nodes (exhaustive searches over Z/2) are not compared.
+    walks, passes = [], []
+
+    def counting_scan(*args):
+        walks.append(args)
+        return _scan(*args)
+
+    def counting_minors_gcd(rows, ncols):
+        g = minors_gcd(rows, ncols)
+        passes.append(g == 1)
+        return g
+
+    monkeypatch.setattr(search, "_scan", counting_scan)
+    monkeypatch.setattr(search, "minors_gcd", counting_minors_gcd)
+    rng = random.Random(seed)
+    compared = {(domain, found): 0 for domain in (ZZ, GF2) for found in (True, False)}
+    fewer = 0
+    for height in (4, 5):
+        for domain in (ZZ, GF2):
+            for _ in range(3):
+                rows = [[rng.choice((0, 0, 1, -1)) for _ in range(k)] for k in range(height)]
+                signs = [rng.choice((1, -1)) for _ in range(height)]
+                twin = flip_signs(present_dual(rows, rng.randint(1, height - 2)), signs)
+                other = [[rng.choice((0, 0, 1, -1)) for _ in range(k)] for k in range(height)]
+                for partner in (twin, other):
+                    walks.clear()
+                    passes.clear()
+                    t, tp = bott_tower(rows), bott_tower(partner)
+                    found = iso_search(build_ring(t, domain), build_ring(tp, domain), 1) is not None
+                    nodes = 1 + sum(passes) - found
+                    assert len(walks) <= nodes
+                    fewer += len(walks) < nodes
+                    if nodes <= 60:
+                        assert search_parity(t, tp, 1, domain) == found
+                        compared[domain, found] += 1
+    assert min(compared.values()) >= 1, compared
+    assert fewer, "no pair shared a walk"
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 4, 8])
@@ -584,8 +655,8 @@ def test_residue_scan_of_integer_ring_matches_modular_ring(seed):
         for n in (2, 3, 4, 8):
             ring_n = build_ring(tower, ModularDomain(n))
             for k in (2, 3):
-                assert _scan(ring, {k: ring.one()}, k, range(n), n) == \
-                    _scan(ring_n, {k: ring_n.one()}, k, range(n)), (tower, n, k)
+                assert list(_scan(ring, {k: ring.one()}, k, range(n), n)) == \
+                    list(_scan(ring_n, {k: ring_n.one()}, k, range(n))), (tower, n, k)
 
 
 @st.composite
@@ -622,7 +693,7 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_scan_matches_oracle_property(case):
     ring, pieces, tmax, values = case
-    assert _scan(ring, pieces, tmax, values) == \
+    assert list(_scan(ring, pieces, tmax, values)) == \
         brute_force_scan(ring, pieces, tmax, values)
 
 
@@ -695,7 +766,7 @@ def test_scan_plan_compiled_once_per_shape(domain, order):
     plan = None
     hits = []
     for pieces in shaped_pieces(ring)[::order]:
-        got = _scan(ring, pieces, 2, values)
+        got = list(_scan(ring, pieces, 2, values))
         assert got == brute_force_scan(ring, pieces, 2, values), pieces
         hits.append(got)
         assert len(ring._scan_plans) == 1
@@ -715,7 +786,7 @@ def test_one_plan_serves_integer_and_residue_walks(order):
     for shaped in ([{2: ring.one()}], shaped_pieces(ring)):
         for n, values in walks[::order]:
             for pieces in shaped:
-                got = _scan(ring, pieces, 2, values, n)
+                got = list(_scan(ring, pieces, 2, values, n))
                 if n is None:
                     expected = brute_force_scan(ring, pieces, 2, values)
                 else:
@@ -744,9 +815,9 @@ def test_equal_rings_do_not_share_scan_plans():
     r1, r2 = build_ring(hirzebruch(1)), build_ring(hirzebruch(1))
     assert r1 == r2 and r1 is not r2
     values = range(-2, 3)
-    got = _scan(r1, {2: r1.one()}, 2, values)
+    got = list(_scan(r1, {2: r1.one()}, 2, values))
     assert r2._scan_plans == {}
-    assert _scan(r2, {2: r2.one()}, 2, values) == got
+    assert list(_scan(r2, {2: r2.one()}, 2, values)) == got
     (p1,), (p2,) = r1._scan_plans.values(), r2._scan_plans.values()
     assert p1 is not p2
 
