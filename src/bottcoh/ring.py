@@ -514,8 +514,10 @@ class RingMap:
     verified: bool = False
 
     @property
-    def determinant(self) -> int:
-        return det_int([list(r) for r in self.matrix])
+    def determinant(self) -> int | None:
+        """det of the matrix, or None when it is not square."""
+        rows = [list(r) for r in self.matrix]
+        return det_int(rows) if all(len(r) == len(rows) for r in rows) else None
 
     @property
     def is_isomorphism(self) -> bool:
@@ -606,12 +608,12 @@ def verify_map(source: BottRing, target: BottRing, matrix) -> RingMap | None:
     """
     if source.domain != target.domain:
         raise DomainMismatchError("rings must share a coefficient domain")
-    matrix = tuple(tuple(int(v) for v in row) for row in matrix)
+    matrix = tuple(map(tuple, matrix))
     if len(matrix) != source.height or any(
-        len(r) != target.height for r in matrix
+        len(r) != target.height or any(type(v) is not int for v in r) for r in matrix
     ):
         raise ValueError(
-            f"matrix must be {source.height} x {target.height} for these rings"
+            f"matrix must be {source.height} x {target.height} ints for these rings"
         )
     images = [target.linear_class(row) for row in matrix]
     for i in range(1, source.height + 1):

@@ -1,22 +1,24 @@
-"""Bounded enumeration over degree-2 classes.
+"""Bounded enumeration over degree-2 classes of rings over Z.
 
 One scan primitive ("generate, in lexicographic order, the coefficient
 vectors b in a box where a fixed polynomial expression in the class sum
-b_j y_j vanishes") serves every enumeration over Z, Q and Z/n: the
-square-zero search used by the rational-product criterion, the residue-box
-square-zero counts of the 3-stage invariant battery, and the row-by-row
-search for unimodular matrices inducing graded ring isomorphisms.
+b_j y_j vanishes") serves every enumeration: the square-zero search used by
+the rational-product criterion, the residue-box square-zero counts of the
+3-stage invariant battery, and the row-by-row search for unimodular
+matrices inducing graded ring isomorphisms.  Only rings over Z are scanned
+and searched; a question over Z/n is a walk of the integer ring modulo n,
+named by the caller.  The relations are monic with integer coefficients, so
+the normal form over Z/n is the normal form over Z reduced mod n, and a
+walk mod n of the integer ring finds what a scan of the Z/n ring would
+find.  The ring is free over Z, so an integer class vanishes over Q exactly
+when it vanishes over Z.
 
 The expression is one polynomial in b per basis monomial, linear in the
 pieces.  The scan structure (which polynomials can occur, their supports,
 their integer weights and the walk over them) is compiled once per ring and
 piece shape and kept on the ring; it holds no modulus.  Each call fills it
-with the pieces' coefficients as integers and then walks the box
-depth-first, one coordinate at a time, reducing by the modulus of the walk:
-the ring's own over Z/n, or any n for a residue scan of a ring over Z.  The
-relations are monic with integer coefficients, so the normal form over Z/n
-is the normal form over Z reduced mod n, and a residue scan of the integer
-ring finds what a scan of the Z/n ring finds.  Fixing b_j
+with the pieces' integer coefficients and then walks the box depth-first,
+one coordinate at a time, reducing by the modulus of the walk.  Fixing b_j
 substitutes it into the polynomials once for all the vectors that share
 the prefix b_1..b_j (shared substitution), and a polynomial that involves
 no coordinate after b_j is then a constant: a nonzero one rejects the
@@ -45,9 +47,8 @@ lexicographically smallest one.
 from __future__ import annotations
 
 from copy import copy
-from fractions import Fraction
 from itertools import combinations_with_replacement, tee
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from .errors import DomainMismatchError, SearchBoundError
@@ -59,6 +60,7 @@ from .ring import (
     image_of_terms,
     verify_map,
 )
+from .scalars import ZZ
 
 
 def _compile(ring: BottRing, shape):
@@ -157,37 +159,33 @@ def _plan(polys, m: int):
     return slots, levels, width
 
 
-def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
+def _scan(ring: BottRing, pieces: dict, values, mod=0):
     """Generate every nonzero b in values^m, in lexicographic order, with
-    sum_t pieces[t] * (sum_j b_j y_j)^t == 0 (mod ``mod``).
+    sum_t pieces[t] * (sum_j b_j y_j)^t == 0 (mod ``mod``) in a ring over Z.
 
     ``values`` lists the coefficients tried per coordinate, in order: a
     bounded search passes range(-bound, bound + 1), a count over Z/n passes
-    the residues range(n).  ``mod`` is the modulus of the walk and defaults
-    to the ring's own (none over Z and Q).  A ring over Z scanned with
-    ``mod=n`` gives what the same scan of its ring over Z/n gives.
+    the residues range(n).  ``mod`` is the modulus of the walk, 0 for none;
+    the caller names it, and a walk mod n gives what the same scan of the
+    ring over Z/n would give.  Pieces above the top degree add zero.
 
     The scan structure is compiled once per ring and piece shape (see
     :func:`_compile`) and kept on the ring, whatever the modulus; each call
-    fills the root's coefficients from the pieces, as integers (reduced mod
-    n in a walk mod n; over Q all scaled by one common denominator, which
-    keeps every polynomial's zeros), and walks the polynomials depth-first
-    over the coordinates, with an explicit stack, in the order of
-    ``values`` at each level.  A node is a prefix b_1..b_j with the
-    coefficients of the polynomials still in play after substituting it
-    (see :func:`_plan`); each child costs one multiply-add per slot.  A
-    polynomial settled by the child's coordinate must vanish (mod n in a
-    walk mod n), else the child and its whole subtree are skipped; once
-    settled it is dropped.  At the last coordinate every remaining
-    polynomial is univariate and settles, so a leaf is a solution exactly
-    when all of them vanish.  The walk is lazy: it advances only as far as
-    its consumer takes vectors.
+    fills the root's coefficients from the pieces (reduced mod n in a walk
+    mod n), and walks the polynomials depth-first over the coordinates,
+    with an explicit stack, in the order of ``values`` at each level.  A
+    node is a prefix b_1..b_j with the coefficients of the polynomials still
+    in play after substituting it (see :func:`_plan`); each child costs one
+    multiply-add per slot.  A polynomial settled by the child's coordinate
+    must vanish (mod n in a walk mod n), else the child and its whole
+    subtree are skipped; once settled it is dropped.  At the last coordinate
+    every remaining polynomial is univariate and settles, so a leaf is a
+    solution exactly when all of them vanish.  The walk is lazy: it
+    advances only as far as its consumer takes vectors.
     """
     m = ring.height
-    if mod is None:
-        mod = ring._mod
     live = {}
-    for t in range(min(tmax, ring.top_degree) + 1):
+    for t in range(ring.top_degree + 1):
         piece = pieces.get(t)
         if piece is not None and not piece.is_zero():
             live[t] = piece
@@ -208,10 +206,8 @@ def _scan(ring: BottRing, pieces: dict, tmax: int, values, mod=None):
                 root[s] += c * w
     if mod:
         root = [c % mod for c in root]
-    elif isinstance(ring.domain.one, Fraction):
-        scale = lcm(*(c.denominator for c in root))
-        root = [int(c * scale) for c in root]
-    powers = [[v**k for k in range(tmax + 1)] for v in values]
+    exponents = range(max(live, default=0) + 1)
+    powers = [[v**k for k in exponents] for v in values]
     stack = [((), root)]
     while stack:
         prefix, coeffs = stack.pop()
@@ -249,11 +245,14 @@ def _check_bound(bound) -> range:
 
 def square_zero_elements(ring: BottRing, k: int, bound: int) -> list[CohomologyClass]:
     """All classes sum(b_j y_j), not all b_j zero, |b_j| <= bound, whose k-th
-    power vanishes, in lexicographic order over the coefficient vectors."""
+    power vanishes, in lexicographic order over the coefficient vectors.
+    The ring must be over Z (DomainMismatchError otherwise)."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive integer")
     values = _check_bound(bound)
-    vectors = _scan(ring, {k: ring.one()}, k, values)
+    if ring.domain != ZZ:
+        raise DomainMismatchError("only rings over Z are searched")
+    vectors = _scan(ring, {k: ring.one()}, values)
     return [ring.linear_class(v) for v in vectors]
 
 
@@ -280,7 +279,8 @@ def _stage_pieces(source: BottRing, target: BottRing, rows, i: int) -> dict:
 
 def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness | None:
     """Search integer matrices with entries in [-bound, bound] for a graded
-    ring isomorphism H*(ring') -> H*(ring).
+    ring isomorphism H*(ring') -> H*(ring).  Both rings must be over Z
+    (DomainMismatchError otherwise).
 
     Row i of a candidate matrix expresses the image of the i-th primed
     generator in the unprimed basis.  Matrices are tried in lexicographic
@@ -313,8 +313,8 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     """
     values = _check_bound(bound)
     target, source = ring, ring_prime
-    if source.domain != target.domain:
-        raise DomainMismatchError("rings must share a coefficient domain")
+    if target.domain != ZZ or source.domain != ZZ:
+        raise DomainMismatchError("only rings over Z are searched")
     if sorted(source.dims) != sorted(target.dims):
         return None
     m = source.height
@@ -327,7 +327,7 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
         stream = streams.get(key)
         if stream is None:
             pieces = _stage_pieces(source, target, rows, depth + 1)
-            walk = _scan(target, pieces, max(pieces), values)
+            walk = _scan(target, pieces, values)
             stream = streams[key] = tee(walk, 1)[0]
         return copy(stream)  # an independent cursor over the shared walk
 

@@ -368,6 +368,25 @@ def test_verify_map_domain_mismatch():
         verify_map(build_ring(hirzebruch(1)), build_ring(hirzebruch(1), GF2), [[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("entry", [0.4, True, Fraction(1, 2)], ids=repr)
+def test_verify_map_rejects_non_integer_entries(entry):
+    # int(v) would truncate -0.6 and 0.4 to 0 and verify ((0, 0), (1, 0))
+    src, tgt = build_ring(hirzebruch(3)), build_ring(hirzebruch(1))
+    with pytest.raises(ValueError):
+        verify_map(src, tgt, [[-0.6, 0.4], [1.4, -0.6]])
+    with pytest.raises(ValueError):
+        verify_map(src, tgt, [[entry, 0], [1, 0]])
+    assert verify_map(src, tgt, [[0, 0], [1, 0]]) is not None
+
+
+def test_non_square_verified_map_has_no_determinant():
+    rm = verify_map(build_ring(product_tower((1,))), build_ring(hirzebruch(1)), [[1, 0]])
+    assert rm is not None and rm.verified and not rm.is_isomorphism
+    assert rm.determinant is None
+    assert rm.to_obj() == {"matrix": [[1, 0]], "det": None,
+                           "source_dims": [1], "target_dims": [1, 1]}
+
+
 def test_unimodular_map_is_bijective_per_degree(rng):
     # the matrix of a verified unimodular map on each graded piece is itself
     # unimodular
