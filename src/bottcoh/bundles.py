@@ -92,7 +92,6 @@ def find_zero_column(bundle) -> tuple[int, list[int]]:
     dims = list(bundle.base_dims)
     original = list(range(1, len(dims) + 1))
     trace: list[int] = []
-    first = None
     while n < sum(dims):
         _column_checks(rows, dims)
         zero_col = None
@@ -102,11 +101,9 @@ def find_zero_column(bundle) -> tuple[int, list[int]]:
                 break
         if zero_col is None:
             raise AssertionError("trivial sub-stable bundle without a zero column")
-        if first is None:
-            first = original[zero_col]
         trace.append(original[zero_col])
         for row in rows:
             del row[zero_col]
         del dims[zero_col]
         del original[zero_col]
-    return first, trace
+    return trace[0], trace

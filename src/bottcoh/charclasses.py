@@ -41,10 +41,10 @@ from .scalars import GF2, ZZ
 from .towers import bott_tower_3, validate_tower
 
 
-def _check_ring(tower, ring, domain):
+def _check_ring(tower, ring):
     if ring is None:
-        return build_ring(tower, domain)
-    if ring.tower != validate_tower(tower) or ring.domain != domain:
+        return build_ring(tower, ZZ)
+    if ring.tower != validate_tower(tower) or ring.domain != ZZ:
         raise RingMismatchError("ring does not present this tower over the required domain")
     return ring
 
@@ -67,13 +67,13 @@ def tangent_chern(tower, ring: BottRing | None = None) -> CohomologyClass:
     The product over stages i and summand roots u of (1 + y_i + u), reduced
     in the integer cohomology ring.
     """
-    return _stage_product(_check_ring(tower, ring, ZZ), square=False)
+    return _stage_product(_check_ring(tower, ring), square=False)
 
 
 def tangent_pontrjagin(tower, ring: BottRing | None = None) -> CohomologyClass:
     """Total Pontrjagin class: the product of (1 + (y_i + u)^2) over stages
     and summand roots."""
-    return _stage_product(_check_ring(tower, ring, ZZ), square=True)
+    return _stage_product(_check_ring(tower, ring), square=True)
 
 
 def p1_b3(a: int, b: int, c: int) -> CohomologyClass:

@@ -45,19 +45,13 @@ class Verdict:
         invariant = None
         if self.invariant is not None:
             name, a, b = self.invariant
-            invariant = {"name": name, "value": _plain(a), "value_prime": _plain(b)}
+            invariant = {"name": name, "value": a, "value_prime": b}
         return {
             "verdict": self.kind,
             "witness": witness,
             "invariant": invariant,
             "bound": self.bound,
         }
-
-
-def _plain(value):
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)

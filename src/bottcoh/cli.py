@@ -72,10 +72,9 @@ def _cmd_ring(args) -> int:
 
 
 def _relation_obj(ring, i):
-    dom = ring.domain
     terms = ring.relation_terms(i)
     return [
-        {"exponents": list(e), "coeff": dom.to_str(terms[e])}
+        {"exponents": list(e), "coeff": str(terms[e])}
         for e in sorted(terms, key=lambda e: (sum(e), e))
     ]
 
@@ -88,7 +87,7 @@ def _relation_str(ring, i) -> str:
         mono = "*".join(
             f"y{j + 1}^{k}" if k > 1 else f"y{j + 1}" for j, k in enumerate(e) if k
         )
-        cs = ring.domain.to_str(c)
+        cs = str(c)
         if cs == "1" and mono:
             parts.append(mono)
         else:
@@ -220,6 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # integers are exact and unbounded, read and printed alike: lift the
+    # int/str digit limit (Python 3.10.7 and later) while a command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (BottcohError, OSError) as exc:
@@ -228,6 +232,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ class BottRing:
         "_scan_plans",
         "_ranks",
         "_top",
-        "__weakref__",
     )
 
     def __init__(self, tower: TowerSpec, domain: Domain = ZZ):
@@ -124,9 +123,6 @@ class BottRing:
     def __repr__(self):
         return f"BottRing(dims={self.dims}, domain={self.domain})"
 
-    def compatible(self, other: "BottRing") -> bool:
-        return self is other or self == other
-
     def relation_terms(self, i: int) -> dict:
         """Raw coefficient dict of the stage-i relation f_i (1-based i)."""
         lead = (0,) * (i - 1) + (self.dims[i - 1] + 1,) + (0,) * (self.height - i)
@@ -154,6 +150,9 @@ class BottRing:
         return [(tuple(map(add, e, shift)), c) for shift, c in self._tails[i]]
 
     def _monomial_nf(self, e):
+        # an integer combination of basis monomials equal to y^e; over Z/n
+        # it is only congruent to the normal form, since reduction mod n
+        # happens where a class is produced (_raw_add, _raw_mul, negation)
         cached = self._nf_cache.get(e)
         if cached is not None:
             return cached
@@ -167,7 +166,6 @@ class BottRing:
         if i is None:
             res = cache[e] = {e: self.domain.one}
             return res
-        mod = self._mod
         # post-order walk of the rewriting with an explicit stack, so the
         # length of a reduction chain is not bounded by Python's recursion
         # limit: a frame is an overflowing monomial with its rewriting
@@ -191,12 +189,7 @@ class BottRing:
             for ee, cg in steps:
                 for mono, coeff in cache[ee].items():
                     acc[mono] = acc.get(mono, 0) - cg * coeff
-            if mod is not None:
-                res = {k: v % mod for k, v in acc.items()}
-                res = {k: v for k, v in res.items() if v}
-            else:
-                res = {k: v for k, v in acc.items() if v}
-            cache[f] = res
+            cache[f] = {k: v for k, v in acc.items() if v}
         return cache[e]
 
     def _raw_add(self, accum: dict, terms: dict) -> dict:
@@ -325,7 +318,7 @@ class BottRing:
 
     def integrate(self, u: "CohomologyClass"):
         """Coefficient of the top monomial y_1^{n_1} ... y_m^{n_m}."""
-        if not self.compatible(u.ring):
+        if self != u.ring:
             raise RingMismatchError("class belongs to a different ring")
         return u._c.get(self._top, self.domain.zero)
 
@@ -369,7 +362,7 @@ class CohomologyClass:
 
     def _binary(self, other) -> "CohomologyClass":
         if isinstance(other, CohomologyClass):
-            if not self.ring.compatible(other.ring):
+            if self.ring != other.ring:
                 raise RingMismatchError("classes belong to different rings")
             return other
         return self.ring.scalar(other)
@@ -396,7 +389,7 @@ class CohomologyClass:
 
     def __mul__(self, other):
         if isinstance(other, CohomologyClass):
-            if not self.ring.compatible(other.ring):
+            if self.ring != other.ring:
                 raise RingMismatchError("classes belong to different rings")
             return CohomologyClass(self.ring, self.ring._raw_mul(self._c, other._c))
         return CohomologyClass(
@@ -420,7 +413,7 @@ class CohomologyClass:
 
     def __eq__(self, other):
         if isinstance(other, CohomologyClass):
-            return self.ring.compatible(other.ring) and self._c == other._c
+            return self.ring == other.ring and self._c == other._c
         if isinstance(other, (int, Fraction)):
             try:
                 return self._c == self.ring.scalar(other)._c
@@ -435,9 +428,8 @@ class CohomologyClass:
 
     def to_obj(self):
         """Serialized form: graded-lex list of {"exponents": [...], "coeff": str}."""
-        dom = self.ring.domain
         return [
-            {"exponents": list(e), "coeff": dom.to_str(self._c[e])}
+            {"exponents": list(e), "coeff": str(self._c[e])}
             for e in self.support()
         ]
 
@@ -452,7 +444,7 @@ class CohomologyClass:
                 for j, k in enumerate(e)
                 if k
             )
-            cs = self.ring.domain.to_str(c)
+            cs = str(c)
             if not mono:
                 parts.append(cs)
             elif cs == "1":
@@ -478,13 +470,13 @@ def normal_form(ring: BottRing, terms) -> CohomologyClass:
 
 
 def multiply(ring: BottRing, u: CohomologyClass, v: CohomologyClass) -> CohomologyClass:
-    if not (ring.compatible(u.ring) and ring.compatible(v.ring)):
+    if ring != u.ring or ring != v.ring:
         raise RingMismatchError("classes do not belong to the given ring")
     return u * v
 
 
 def power(ring: BottRing, u: CohomologyClass, k: int) -> CohomologyClass:
-    if not ring.compatible(u.ring):
+    if ring != u.ring:
         raise RingMismatchError("class does not belong to the given ring")
     return u**k
 
@@ -626,7 +618,7 @@ def apply_map(rm: RingMap, u: CohomologyClass) -> CohomologyClass:
     """Image of a class under a verified ring map."""
     if not rm.verified:
         raise UnverifiedMapError("refusing to apply an unverified map")
-    if not rm.source.compatible(u.ring):
+    if rm.source != u.ring:
         raise RingMismatchError("class does not live in the map's source ring")
     images = [rm.target.linear_class(row) for row in rm.matrix]
     return image_of_terms(rm.target, images, u._c)

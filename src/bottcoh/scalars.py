@@ -2,9 +2,10 @@
 
 No floating point is used anywhere.  Integers are Python ints, rationals
 are `fractions.Fraction`, and modular values are canonical residues in
-``range(n)``.  Ring arithmetic accumulates with native ``+``/``*`` and
-reduces each result slot mod n only over Z/n, so integers and rationals pay
-no reduction cost.
+``range(n)``.  Ring arithmetic accumulates with native ``+``/``*``.  Over
+Z/n it reduces mod n only where a class is produced (each sum, negation and
+product), so monomial normal forms stay integer combinations and integers
+and rationals pay no reduction cost.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ class Domain:
     def coerce(self, value):
         """Convert an external value (int, Fraction, decimal string) to a scalar."""
         raise NotImplementedError
-
-    def to_str(self, value) -> str:
-        return str(value)
 
     def __repr__(self):
         return self.name

@@ -252,6 +252,8 @@ def _json_obj(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise TowerFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise TowerFormatError("JSON nested too deeply") from None
 
 
 def tower_from_json(text: str) -> TowerSpec:

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
@@ -269,3 +271,46 @@ def test_malformed_file_exit_2(tmp_path, capsys, command, content):
     assert (code, out) == (2, "")
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("ring", []), ("classes", []), ("is-product", []), ("bundle-trivial", []),
+     ("classify2", ["in.json"]), ("classify3", ["in.json"]),
+     ("iso-search", ["in.json", "--bound", "1"])],
+)
+def test_deeply_nested_json_exit_2(tmp_path, capsys, command, extra, monkeypatch):
+    # json.loads recurses once per nesting level
+    monkeypatch.chdir(tmp_path)
+    Path("in.json").write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "--json", command, "in.json", *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "nested" in err
+    assert "Traceback" not in err
+
+
+def test_integers_beyond_the_str_digit_limit(tmp_path, capsys):
+    # towers hold exact integers: a 5000-digit entry reads, and c_2 = X^2
+    # y1^2 with X = 10^3000 prints in 6001 digits; the interpreter's digit
+    # limit is back in place once main returns
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big_in = tmp_path / "big_in.json"
+    big_in.write_text(
+        '{"stages":[{"fiber_dim":1,"summands":[]},'
+        '{"fiber_dim":2,"summands":[[0],[1%s]]}]}' % ("0" * 4999))
+    code, out, err = run_cli(capsys, "--json", "is-product", str(big_in))
+    assert (code, err) == (1, "")
+    assert "1" + "0" * 4999 in out
+    x = "1" + "0" * 3000
+    big_out = tmp_path / "big_out.json"
+    big_out.write_text(
+        '{"stages":[{"fiber_dim":2,"summands":[]},'
+        '{"fiber_dim":2,"summands":[[%s],[%s]]}]}' % (x, x))
+    for command, want, digits in (
+        ("ring", 0, 6001), ("classes", 0, 6001), ("is-product", 1, 3001)
+    ):
+        for argv in (["--json", command], [command]):
+            code, out, err = run_cli(capsys, *argv, str(big_out))
+            assert (code, err) == (want, "")
+            assert re.search(r"\d{%d}" % digits, out)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

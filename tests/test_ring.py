@@ -277,6 +277,35 @@ def test_rational_and_modular_domains():
     assert z2 * z2 == z1 * z2  # -3 = 1 mod 2
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_modular_arithmetic_is_integer_arithmetic_reduced(n, rng):
+    # over Z/n a monomial's normal form is an integer combination, reduced
+    # only where a class is produced: normal forms, products and powers
+    # must equal those over Z reduced mod n
+    domain = ModularDomain(n)
+
+    def reduced(cls):
+        return {e: c % n for e, c in cls.items() if c % n}
+
+    for _ in range(8):
+        tower = random_tower(rng, max_height=4, max_dim=3, max_entry=3)
+        rz, rn = build_ring(tower), build_ring(tower, domain)
+
+        def rand_terms():
+            return {
+                tuple(rng.randint(0, k + 1) for k in tower.dims): rng.randint(-5, 5)
+                for _ in range(4)
+            }
+
+        a, b = rand_terms(), rand_terms()
+        u, v = rz.from_terms(a), rz.from_terms(b)
+        un, vn = rn.from_terms(a), rn.from_terms(b)
+        assert dict(un.items()) == reduced(u), (tower, a)
+        assert dict((un * vn).items()) == reduced(u * v), (tower, a, b)
+        for k in range(6):
+            assert dict((un ** k).items()) == reduced(u ** k), (tower, a, k)
+
+
 def test_class_serialization_graded_lex():
     r = build_ring(hirzebruch(1))
     y1, y2 = r.gens()
