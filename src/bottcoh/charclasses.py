@@ -1,12 +1,29 @@
 """Characteristic classes of generalized Bott towers.
 
 Total Chern and Pontrjagin classes come from the stage-wise splitting of the
-tangent bundle: each stage contributes the product over its n_i + 1 summand
-Chern roots u (the trivial root included, as ``BottRing.stage_roots`` gives
-them from the ring's stage table) of (1 + y_i + u) respectively
-(1 + (y_i + u)^2).  Wu classes are solved degree by degree from the pairing
-identity integrate(v_d . x) = integrate(Sq^{2d}(x)) against the monomial
-basis.  Both sides are read from one functional, integrate(y^f), the top
+tangent bundle: stage i, of fiber dimension n = n_i, contributes the product
+over its n + 1 summand Chern roots u (the trivial root included) of
+(1 + y_i + u) respectively (1 + (y_i + u)^2).  Both factors are read in
+closed form from the ring's stage table, with no ring product.  With c_0 = 1
+and the c_q of ``BottRing.chern``, f_i = prod_u (y_i + u) =
+sum_q c_q y_i^{n+1-q}, so
+
+    F_i = prod_u (1 + y_i + u) = sum_{q=0..n} sum_{r=0..n-q} C(n+1-q, r) c_q y_i^r,
+
+the terms with r = n + 1 - q summing to f_i = 0.  Every c_q y_i^r is a
+basis monomial times a reduced class below stage i.  For
+G(z) = prod_u (z + y_i + u) = sum_s F_i^{(n+1-s)} z^s, where F_i^{(k)} is
+the degree-k component of F_i = G(1), and iota^2 = -1,
+
+    prod_u (1 + (y_i + u)^2) = G(iota) G(-iota) = R_i^2 + I_i^2,
+    R_i = sum_{s even} (-1)^{s/2} F_i^{(n+1-s)},
+    I_i = sum_{s odd} (-1)^{(s-1)/2} F_i^{(n+1-s)}.
+
+So c(T) costs one ring product per stage and p(T) three.
+
+Wu classes are solved degree by degree from the pairing identity
+integrate(v_d . x) = integrate(Sq^{2d}(x)) against the monomial basis.
+Both sides are read from one functional, integrate(y^f), the top
 coefficient of the normal form of y^f: Sq(y^e) = prod_j (y_j + y_j^2)^{e_j}
 has an odd coefficient on y^{e+k} exactly when k_j & e_j == k_j for every
 j (Lucas' theorem), and v_d = 0 for d > top // 2.  The total
@@ -24,7 +41,9 @@ zero and are asserted rather than computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from functools import reduce
+from math import comb
+from operator import add, mul
 
 from .errors import DomainMismatchError, RingMismatchError
 from .linalg import solve_mod
@@ -49,31 +68,51 @@ def _check_ring(tower, ring):
     return ring
 
 
-def _stage_product(ring: BottRing, square: bool) -> CohomologyClass:
-    """Product of 1 + x, or of 1 + x * x, over stages i and the roots u of
-    ``ring.stage_roots(i)``, where x = y_i + u."""
-    one = ring.one()
-    total = one
-    for i, y in enumerate(ring.gens(), start=1):
-        for u in ring.stage_roots(i):
-            x = y + u
-            total = total * (one + (x * x if square else x))
-    return total
+def _stage_terms(ring: BottRing, i: int):
+    """The terms (e, c, s) of F_i = prod_u (1 + y_i + u) (0-based i): the
+    coefficient c on the basis monomial y^e, and s = n_i + 1 - |e|."""
+    n = ring.dims[i]
+    one = {(0,) * ring.height: 1}
+    for q, cq in enumerate((one,) + ring.chern[i]):
+        for r in range(n + 1 - q):
+            b = comb(n + 1 - q, r)
+            for g, c in cq.items():  # g[i] == 0: c_q lives below stage i
+                yield g[:i] + (r,) + g[i + 1:], b * c, n + 1 - q - r
 
 
 def tangent_chern(tower, ring: BottRing | None = None) -> CohomologyClass:
     """Total Chern class of the tangent bundle.
 
-    The product over stages i and summand roots u of (1 + y_i + u), reduced
-    in the integer cohomology ring.
+    The product over stages i of F_i = prod_u (1 + y_i + u) over the summand
+    roots u, each F_i read from the stage table as
+    sum_{q, r <= n_i - q} C(n_i + 1 - q, r) c_q y_i^r: one ring product per
+    stage after the first.
     """
-    return _stage_product(_check_ring(tower, ring), square=False)
+    ring = _check_ring(tower, ring)
+    return reduce(mul, (
+        CohomologyClass(ring, {e: c for e, c, _ in _stage_terms(ring, i)})
+        for i in range(ring.height)
+    ))
 
 
 def tangent_pontrjagin(tower, ring: BottRing | None = None) -> CohomologyClass:
     """Total Pontrjagin class: the product of (1 + (y_i + u)^2) over stages
-    and summand roots."""
-    return _stage_product(_check_ring(tower, ring), square=True)
+    and summand roots.
+
+    Stage i contributes G(iota) G(-iota) = R_i^2 + I_i^2 for
+    G(z) = prod_u (z + y_i + u) and iota^2 = -1, where R_i and I_i sum the
+    components F_i^{(n_i+1-s)} of F_i = G(1) with s even and s odd, signed
+    by (-1)^{floor(s/2)}: at most three ring products per stage.
+    """
+    ring = _check_ring(tower, ring)
+    factors = []
+    for i in range(ring.height):
+        parts = ({}, {})  # R_i, I_i
+        for e, c, s in _stage_terms(ring, i):
+            parts[s & 1][e] = -c if s & 2 else c
+        real, imag = (CohomologyClass(ring, part) for part in parts)
+        factors.append(real * real + imag * imag)
+    return reduce(mul, factors)
 
 
 def p1_b3(a: int, b: int, c: int) -> CohomologyClass:

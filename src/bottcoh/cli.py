@@ -2,10 +2,11 @@
 
 Exit codes: 0 when the computation succeeded (affirmative verdicts
 included), 1 for negative verdicts (DISTINCT, UNKNOWN, no witness found,
-not a product, nontrivial bundle), 2 for malformed input or a computation
-that runs out of memory.  ``--json`` switches to canonical machine output:
-keys sorted, compact separators, so parsing and re-serializing a report is
-byte-identical.
+not a product, nontrivial bundle), 2 for malformed input, for a ring whose
+rank is over ``MAX_RANK`` (``ring``, ``classes`` and ``iso-search``) or for
+a computation that runs out of memory.  ``--json`` switches to canonical
+machine output: keys sorted, compact separators, so parsing and
+re-serializing a report is byte-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 from .bundles import find_zero_column, is_trivial
 from .charclasses import char_class_report
@@ -23,11 +25,27 @@ from .classify import (
     classify_3stage,
     is_product_cohomology,
 )
-from .errors import BottcohError
+from .errors import BottcohError, RankLimitError
 from .ring import build_ring
 from .scalars import QQ, ZZ, ModularDomain
 from .search import iso_search
 from .towers import load_bundle, load_tower
+
+
+# rank prod(n_i + 1) up to which ``ring``, ``classes`` and ``iso-search``
+# build a ring: the Wu solve of ``classes`` on a height-12 Bott tower (rank
+# 4096) takes about 13 s and 90 MB, and each further stage at least doubles
+# both; a search compiles the degree-2 basis whatever its bound, m(m + 1)/2
+# monomials of length m on a Bott tower of height m
+MAX_RANK = 4096
+
+
+def _load_bounded(path):
+    tower = load_tower(path)
+    rank = prod(n + 1 for n in tower.dims)
+    if rank > MAX_RANK:
+        raise RankLimitError(f"ring rank {rank} is over the limit {MAX_RANK}")
+    return tower
 
 
 def canonical_json(obj) -> str:
@@ -42,7 +60,7 @@ def _emit(args, obj, human: str) -> None:
 
 
 def _cmd_ring(args) -> int:
-    tower = load_tower(args.tower)
+    tower = _load_bounded(args.tower)
     if args.mod is not None:
         domain = ModularDomain(args.mod)
     elif args.rational:
@@ -96,7 +114,7 @@ def _relation_str(ring, i) -> str:
 
 
 def _cmd_classes(args) -> int:
-    report = char_class_report(load_tower(args.tower))
+    report = char_class_report(_load_bounded(args.tower))
     human = "\n".join(
         [
             f"chern:            {report.total_chern!r}",
@@ -147,8 +165,8 @@ def _cmd_classify3(args) -> int:
 
 
 def _cmd_iso_search(args) -> int:
-    r1 = build_ring(load_tower(args.t1), ZZ)
-    r2 = build_ring(load_tower(args.t2), ZZ)
+    r1 = build_ring(_load_bounded(args.t1), ZZ)
+    r2 = build_ring(_load_bounded(args.t2), ZZ)
     witness = iso_search(r1, r2, args.bound)
     if witness is None:
         _emit(args, {"witness": None, "bound": args.bound}, "no witness found")

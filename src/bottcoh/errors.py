@@ -35,5 +35,9 @@ class ModulusError(BottcohError, ValueError):
     """A modulus for Z/n was not an integer >= 2."""
 
 
+class RankLimitError(BottcohError, ValueError):
+    """A ring's rank is over the limit a command builds rings up to."""
+
+
 class BundleHypothesisError(BottcohError, ValueError):
     """The zero-column reduction was invoked outside its hypotheses."""

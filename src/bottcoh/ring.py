@@ -297,23 +297,31 @@ class BottRing:
         cached = self._basis_cache.get(d)
         if cached is not None:
             return cached
+        dims = self.dims
+        m = len(dims)
         out = []
-        e = [0] * self.height
-
-        def fill(j, rest):
-            if j == self.height:
-                if rest == 0:
-                    out.append(tuple(e))
-                return
-            for v in range(min(rest, self.dims[j]) + 1):
-                e[j] = v
-                fill(j + 1, rest - v)
-            e[j] = 0
-
         if 0 <= d <= self.top_degree:
-            fill(0, d)
-        result = tuple(sorted(out))
-        self._basis_cache[d] = result
+            # each monomial's successor raises the rightmost exponent that
+            # can take a unit from its right and puts the rest of the right
+            # as far right as it goes; no recursion, so any height works
+            e = [0] * m
+            j, rest = 0, d
+            while True:
+                for k in range(m - 1, j - 1, -1):
+                    e[k] = v = min(rest, dims[k])
+                    rest -= v
+                out.append(tuple(e))
+                rest = 0
+                for j in range(m - 1, -1, -1):
+                    if rest and e[j] < dims[j]:
+                        break
+                    rest += e[j]
+                else:
+                    break
+                e[j] += 1
+                rest -= 1
+                j += 1
+        result = self._basis_cache[d] = tuple(out)
         return result
 
     def integrate(self, u: "CohomologyClass"):

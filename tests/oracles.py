@@ -16,7 +16,12 @@ whole prefix for each, where the package searches row 1 up to sign and
 carries a column transform down the tree.  The brute-force
 Wu solve takes one full Steenrod square per basis monomial and one ring
 product per pairing entry, in every degree, where the package reads both
-sides from the top-degree functional.
+sides from the top-degree functional.  The root-by-root tangent classes
+multiply the class by 1 + x, respectively 1 + x^2, once per Chern root
+x = y_i + u, with the roots u built from the tower's rows, where the
+package reads each stage's factor from the Chern classes of its stage
+table; the sympy tangent classes expand the same products symbolically and
+reduce them by the Groebner basis.
 """
 
 from __future__ import annotations
@@ -59,6 +64,28 @@ def sympy_relation(tower, i) -> dict:
     return {tuple(int(k) for k in mono): int(c) for mono, c in poly.terms() if c}
 
 
+def _sympy_terms(expr, ys) -> dict:
+    poly = sp.Poly(expr, *ys)
+    return {tuple(int(k) for k in mono): int(c) for mono, c in poly.terms() if c}
+
+
+def sympy_tangent_classes(tower):
+    """Term dicts of the total Chern and Pontrjagin classes: the products of
+    1 + x and of 1 + x^2 over every Chern root x = y_i + row . y (the
+    trivial row included), expanded by sympy and reduced modulo the
+    relations."""
+    ys, _, basis = sympy_ring_data(tower)
+    chern = pontrjagin = sp.Integer(1)
+    for i, stage in enumerate(tower.stages):
+        for row in ((),) + stage.summand_exponents:
+            x = ys[i] + sum(a * y for a, y in zip(row, ys))
+            chern *= 1 + x
+            pontrjagin *= 1 + x**2
+    return tuple(
+        _sympy_terms(basis.reduce(sp.expand(f))[1], ys) for f in (chern, pontrjagin)
+    )
+
+
 def sympy_normal_form(tower, terms) -> dict:
     """Reduce {exponents: coeff} modulo the relations; returns the same shape."""
     ys, _, basis = sympy_ring_data(tower)
@@ -68,13 +95,7 @@ def sympy_normal_form(tower, terms) -> dict:
         for y, k in zip(ys, e):
             mono *= y**k
         expr += mono
-    remainder = basis.reduce(sp.expand(expr))[1]
-    poly = sp.Poly(remainder, *ys)
-    out = {}
-    for mono, coeff in poly.terms():
-        if coeff:
-            out[tuple(int(k) for k in mono)] = int(coeff)
-    return out
+    return _sympy_terms(basis.reduce(sp.expand(expr))[1], ys)
 
 
 def class_terms(cls) -> dict:
@@ -218,3 +239,19 @@ def brute_force_wu_classes(tower):
         sol = solve_mod(rows, rhs, 2)
         v = v + CohomologyClass(ring, {g: s for g, s in zip(comp, sol) if s})
     return v
+
+
+def root_by_root_tangent_classes(ring):
+    """Total Chern and Pontrjagin classes of the tower of a ring, over its
+    coefficients, multiplied out one Chern root at a time: the class times 1 + x, and
+    times 1 + x * x, for every stage i and every root x = y_i + u, where u
+    runs over zero and the linear classes of the stage's rows."""
+    one = ring.one()
+    chern = pontrjagin = one
+    for y, stage in zip(ring.gens(), ring.tower.stages):
+        pad = (0,) * (ring.height - stage.columns)
+        for row in ((0,) * stage.columns,) + stage.summand_exponents:
+            x = y + ring.linear_class(tuple(row) + pad)
+            chern = chern * (one + x)
+            pontrjagin = pontrjagin * (one + x * x)
+    return chern, pontrjagin

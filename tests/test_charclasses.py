@@ -22,10 +22,16 @@ from bottcoh import (
     verify_pontrjagin_preservation,
     wu_classes,
 )
-from bottcoh.ring import IsoWitness
+from bottcoh.ring import BottRing, IsoWitness
 
 from .conftest import small_tower_corpus
-from .oracles import brute_force_wu_classes, class_terms, sympy_normal_form
+from .oracles import (
+    brute_force_wu_classes,
+    class_terms,
+    root_by_root_tangent_classes,
+    sympy_normal_form,
+    sympy_tangent_classes,
+)
 
 
 def test_tangent_chern_cp2():
@@ -101,6 +107,39 @@ def test_p1_closed_form_matches_product_route():
                     p1_b3(a, b, c)
                 )
                 assert all(d <= 2 for d in p.degrees())
+
+
+def seeded_tangent_towers(rng):
+    """The census a, b, c in [-3, 3], then one generalized tower per fiber
+    shape of height 1 to 5 and fibers <= 3, with summand entries in
+    [-3, 3]."""
+    for a, b, c in iproduct(range(-3, 4), repeat=3):
+        yield bott_tower_3(a, b, c)
+    for height in range(1, 6):
+        for dims in iproduct(range(1, 4), repeat=height):
+            yield validate_tower([
+                (n, [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)])
+                for k, n in enumerate(dims)
+            ])
+
+
+def test_tangent_classes_match_root_by_root_oracle(rng):
+    towers = 0
+    for tower in seeded_tangent_towers(rng):
+        ring = build_ring(tower)
+        chern, pontrjagin = root_by_root_tangent_classes(ring)
+        assert tangent_chern(tower, ring) == chern, tower
+        assert tangent_pontrjagin(tower, ring) == pontrjagin, tower
+        towers += 1
+    assert towers == 343 + 363
+
+
+def test_tangent_classes_match_sympy_oracle(rng):
+    towers = [t for t in seeded_tangent_towers(rng) if t.total_complex_dim() <= 4]
+    for tower in rng.sample(towers, 6):
+        chern, pontrjagin = sympy_tangent_classes(tower)
+        assert class_terms(tangent_chern(tower)) == chern, tower
+        assert class_terms(tangent_pontrjagin(tower)) == pontrjagin, tower
 
 
 def test_steenrod_square_examples():
@@ -199,6 +238,28 @@ def test_wu_classes_match_brute_force_oracle(rng):
     assert towers == 139
 
 
+def test_tangent_classes_cost_a_few_products_per_stage(rng, monkeypatch):
+    # c(T) multiplies one closed-form factor per stage; p(T) adds the
+    # squares of its two signed parts first, so no product per Chern root
+    raw_mul = BottRing._raw_mul
+    calls = []
+
+    def counting_mul(ring, a, b):
+        calls.append(ring)
+        return raw_mul(ring, a, b)
+
+    for tower in seeded_wu_towers(rng):
+        ring = build_ring(tower)
+        monkeypatch.setattr(BottRing, "_raw_mul", counting_mul)
+        calls.clear()
+        tangent_chern(tower, ring)
+        assert len(calls) <= ring.height, tower
+        calls.clear()
+        tangent_pontrjagin(tower, ring)
+        assert len(calls) <= 3 * ring.height, tower
+        monkeypatch.undo()
+
+
 def test_wu_classes_examples():
     cp2 = product_tower((2,))
     v = wu_classes(cp2)
@@ -217,24 +278,10 @@ def test_stiefel_whitney_examples():
     assert stiefel_whitney(cp1) == stiefel_whitney(cp1).ring.one()
 
 
-def _chern_mod2(tower):
-    ring2 = build_ring(tower, GF2)
-    total = ring2.one()
-    for i in range(1, ring2.height + 1):
-        y = ring2.gen(i)
-        stage = tower.stages[i - 1]
-        pad = (0,) * (ring2.height - stage.columns)
-        roots = [ring2.zero()] + [
-            ring2.linear_class(tuple(row) + pad) for row in stage.summand_exponents
-        ]
-        for u in roots:
-            total = total * (ring2.one() + y + u)
-    return total
-
-
 def test_stiefel_whitney_matches_chern_mod2_on_corpus():
     for tower in small_tower_corpus():
-        assert stiefel_whitney(tower) == _chern_mod2(tower), tower
+        chern_mod2, _ = root_by_root_tangent_classes(build_ring(tower, GF2))
+        assert stiefel_whitney(tower) == chern_mod2, tower
 
 
 def test_char_class_report_shape():

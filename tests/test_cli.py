@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bottcoh import (
     bott_tower_3,
+    build_ring,
     dualize_stage,
     hirzebruch,
     product_tower,
@@ -314,3 +315,31 @@ def test_integers_beyond_the_str_digit_limit(tmp_path, capsys):
             assert (code, err) == (want, "")
             assert re.search(r"\d{%d}" % digits, out)
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_rank_over_the_limit_exits_2(tmp_path, capsys):
+    # ring, classes and iso-search refuse a ring of rank 2^1100 before
+    # building it, and basis(1) of that ring enumerates its 1100 monomials
+    # without recursing
+    tower = validate_tower([(1, [[0] * i]) for i in range(1100)])
+    path = str(tmp_path / "tall.json")
+    Path(path).write_text(json.dumps(tower.to_obj()))
+    for command in (["ring", path], ["classes", path],
+                    ["iso-search", path, path, "--bound", "0"]):
+        for argv in (["--json", *command], command):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: ring rank {2 ** 1100} is over the limit 4096\n"
+    assert cli.MAX_RANK == 4096
+    basis = build_ring(tower).basis(1)
+    assert basis == tuple((0,) * (1099 - j) + (1,) + (0,) * j for j in range(1100))
+
+
+def test_rank_limit_is_inclusive(tower_file, capsys):
+    at = tower_file("at.json", product_tower((1,) * 12))
+    over = tower_file("over.json", product_tower((1,) * 11 + (2,)))
+    code, out, err = run_cli(capsys, "--json", "ring", at)
+    assert (code, err) == (0, "")
+    assert sum(json.loads(out)["graded_ranks"]) == 4096
+    code, out, err = run_cli(capsys, "--json", "ring", over)
+    assert (code, out, err) == (2, "", "error: ring rank 6144 is over the limit 4096\n")

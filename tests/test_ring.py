@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product as iproduct
 from operator import le
 
 import pytest
@@ -255,8 +256,10 @@ def test_graded_rank_examples():
 def test_graded_rank_matches_basis_count(rng):
     for _ in range(20):
         r = build_ring(random_tower(rng))
-        for d in range(r.top_degree + 1):
+        monomials = sorted(iproduct(*(range(n + 1) for n in r.dims)))
+        for d in range(-1, r.top_degree + 2):
             assert r.graded_rank(d) == len(r.basis(d))
+            assert list(r.basis(d)) == [e for e in monomials if sum(e) == d]
 
 
 def test_integrate_examples():
