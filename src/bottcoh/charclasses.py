@@ -24,13 +24,16 @@ So c(T) costs one ring product per stage and p(T) three.
 Wu classes are solved degree by degree from the pairing identity
 integrate(v_d . x) = integrate(Sq^{2d}(x)) against the monomial basis.
 Both sides are read from one functional, integrate(y^f), the top
-coefficient of the normal form of y^f: Sq(y^e) = prod_j (y_j + y_j^2)^{e_j}
-has an odd coefficient on y^{e+k} exactly when k_j & e_j == k_j for every
-j (Lucas' theorem), and v_d = 0 for d > top // 2.  The total
-Stiefel-Whitney class is Sq(v).  The generator sign convention is fixed
-throughout: y_i is minus the first Chern class of the stage's tautological
-line bundle, so any comparison with the opposite convention must negate the
-degree-2 generators first.
+coefficient of the normal form of y^f, and the right-hand side from the
+pairing row itself: Sq(y^e) = prod_j (y_j + y_j^2)^{e_j} has an odd
+coefficient on y^{e+k} exactly when every k_j is a submask of e_j (Lucas'
+theorem), so integrate(Sq^{2d}(y^e)) is the parity of the row entries
+integrate(y^{e+k}) in the columns k that are submasks of e, and v_d = 0
+for d > top // 2.  Rows are packed into ints and eliminated over Z/2.  The
+total Stiefel-Whitney class is Sq(v).  The generator sign convention is
+fixed throughout: y_i is minus the first Chern class of the stage's
+tautological line bundle, so any comparison with the opposite convention
+must negate the degree-2 generators first.
 
 Classes of mixed degree are ordinary ring elements here; components above
 the top degree vanish in the ring, so no explicit truncation is needed.
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from operator import add, mul
+from operator import add, lshift, mul
 
 from .errors import DomainMismatchError, RingMismatchError
 from .linalg import solve_mod
@@ -165,38 +168,56 @@ def wu_classes(tower) -> CohomologyClass:
 
     Both sides are read from the top-degree functional
     integrate(y^f) = coefficient of the top monomial in the normal form of
-    y^f.  The pairing entry of (x, g) = (y^e, y^g) is integrate(y^{e+g}).
-    Since Sq(y^e) = prod_j (y_j + y_j^2)^{e_j}, the right-hand side is the
-    sum of integrate(y^{e+k}) over the basis monomials y^k of degree d with
-    every binomial(e_j, k_j) odd, which by Lucas' theorem means
-    k_j & e_j == k_j.  Such k satisfy |k| <= |e| = top - d, so for
-    d > top // 2 the right-hand side vanishes and v_d = 0; the pairings of
-    those degrees are transposes of the ones solved, so every pairing is
-    still checked for invertibility.
+    y^f.  The pairing row of x = y^e holds integrate(y^{e+g}) for the basis
+    monomials y^g of degree d.  Since Sq(y^e) = prod_j (y_j + y_j^2)^{e_j},
+    the right-hand side is the sum of integrate(y^{e+k}) over the y^k of
+    degree d with every binomial(e_j, k_j) odd, which by Lucas' theorem
+    means every k_j is a submask of e_j: the parity of the row's entries in
+    those columns, read from the row with no second integral.  Exponent
+    vectors packed one bit field per coordinate make the test one AND.
+    Such k satisfy |k| <= |e| = top - d, so for d > top // 2 the right-hand
+    side vanishes and v_d = 0; the pairings of those degrees are transposes
+    of the ones solved, so every pairing is still checked for
+    invertibility.
     """
     ring = build_ring(tower, GF2)
     top = ring.top_degree
-    nf = ring._monomial_nf
     top_mono = ring._top
+    cache = ring._nf_cache
+    nf = ring._monomial_nf
+    # pack(k) & pack(e) == pack(k) exactly when every k_j is a submask of
+    # e_j; normal forms over Z/2 are only congruent mod 2, so the top
+    # coefficient is read by its parity
+    shifts = []
+    width = 0
+    for n in ring.dims:
+        shifts.append(width)
+        width += n.bit_length()
 
-    def integral(e, g):
-        return nf(tuple(map(add, e, g))).get(top_mono, 0)
+    def pack(e):
+        return sum(map(lshift, e, shifts))
 
     terms = {(0,) * ring.height: 1}
     for d in range(1, top // 2 + 1):  # v component in H^{2d}
         comp = ring.basis(d)
+        cols = [(g, pack(g), 1 << j) for j, g in enumerate(comp)]
         rows = []
         rhs = []
         for e in ring.basis(top - d):
-            rows.append([integral(e, g) for g in comp])
-            rhs.append(
-                sum(
-                    integral(e, k)
-                    for k in comp
-                    if all(kj & ej == kj for kj, ej in zip(k, e))
-                )
-            )
-        sol = solve_mod(rows, rhs, 2)
+            packed = pack(e)
+            row = odd = 0
+            for g, k, bit in cols:
+                f = tuple(map(add, e, g))
+                r = cache.get(f)
+                if r is None:
+                    r = nf(f)
+                if r.get(top_mono, 0) & 1:
+                    row |= bit
+                    if k & packed == k:
+                        odd ^= 1
+            rows.append(row)
+            rhs.append(odd)
+        sol = solve_mod(rows, rhs)
         terms.update((g, 1) for g, s in zip(comp, sol) if s)
     return CohomologyClass(ring, terms)
 

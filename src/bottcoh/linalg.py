@@ -1,4 +1,4 @@
-"""Small exact linear algebra helpers over Z, Q and Z/n."""
+"""Small exact linear algebra helpers over Z, Q and Z/2."""
 
 from __future__ import annotations
 
@@ -88,26 +88,29 @@ def minors_gcd(rows: list[tuple[int, ...]], ncols: int) -> int:
     return g * gcd(*(col[-1] for col in cols[len(rows) - 1:]))
 
 
-def solve_mod(matrix: list[list[int]], rhs: list[int], n: int) -> list[int]:
-    """Solve ``matrix @ x = rhs`` over Z/n for an invertible square matrix."""
-    size = len(matrix)
-    a = [[matrix[i][j] % n for j in range(size)] + [rhs[i] % n] for i in range(size)]
+def solve_mod(rows: list[int], rhs: list[int]) -> list[int]:
+    """Solve ``matrix @ x = rhs`` over Z/2 for an invertible square matrix.
+
+    Row i of the matrix comes packed into the int ``rows[i]``: bit j is its
+    entry in column j.  Only the parity of ``rhs[i]`` counts.  Gauss-Jordan
+    elimination clears a column from every other row with one XOR per row,
+    the right-hand side riding along as bit ``len(rows)``.  Returns x as a
+    list of 0 and 1; raises ``ValueError`` when the matrix is singular.
+    """
+    size = len(rows)
+    a = [r | (b & 1) << size for r, b in zip(rows, rhs)]
     for col in range(size):
-        pivot = None
+        bit = 1 << col
         for i in range(col, size):
-            if a[i][col] != 0 and gcd(a[i][col], n) == 1:
-                pivot = i
+            if a[i] & bit:
                 break
-        if pivot is None:
-            raise ValueError("matrix is not invertible modulo %d" % n)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = pow(a[col][col], -1, n)
-        a[col] = [(v * inv) % n for v in a[col]]
-        for i in range(size):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [(a[i][j] - f * a[col][j]) % n for j in range(size + 1)]
-    return [a[i][size] for i in range(size)]
+        else:
+            raise ValueError("matrix is not invertible modulo 2")
+        pivot = a[i]
+        a[i] = a[col]
+        a = [r ^ pivot if r & bit else r for r in a]
+        a[col] = pivot
+    return [r >> size for r in a]
 
 
 def rank_exact(rows: list[list]) -> int:

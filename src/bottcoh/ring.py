@@ -54,6 +54,7 @@ class BottRing:
         "_scan_plans",
         "_ranks",
         "_top",
+        "top_degree",
     )
 
     def __init__(self, tower: TowerSpec, domain: Domain = ZZ):
@@ -67,6 +68,7 @@ class BottRing:
         self._scan_plans = {}  # compiled scans, see search._compile
         self._ranks = None
         self._top = tuple(self.dims)
+        self.top_degree = sum(self.dims)
         m = self.height
         unit = [(0,) * j + (1,) + (0,) * (m - 1 - j) for j in range(m)]
         chern = []
@@ -82,11 +84,14 @@ class BottRing:
                 roots.append(u)
             # elementary symmetric polynomials c_1.. of the roots, reduced,
             # by c_q += c_{q-1} u with c_0 = 1 (c_0 u = u is reduced); only
-            # the tails of stages < i are read, which are already built
+            # the tails of stages < i are read, which are already built.  A
+            # zero root adds nothing to any c_q, so it is skipped and the
+            # c_q past the nonzero roots are zero
             es = []
-            for u in roots:
+            for u in filter(None, roots):
                 prods = [u] + [self._raw_mul(c, u) for c in es]
                 es = [self._raw_add(dict(c), p) for c, p in zip(es, prods)] + prods[-1:]
+            es += [{}] * (len(roots) - len(es))
             chern.append(tuple(es))
             tail = []
             for q, cq in enumerate(es, start=1):
@@ -101,10 +106,6 @@ class BottRing:
     @property
     def height(self) -> int:
         return len(self.dims)
-
-    @property
-    def top_degree(self) -> int:
-        return sum(self.dims)
 
     def __eq__(self, other):
         if self is other:
@@ -205,13 +206,16 @@ class BottRing:
         return accum
 
     def _raw_mul(self, a: dict, b: dict) -> dict:
-        nf = self._monomial_nf
+        cache = self._nf_cache
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 c = c1 * c2
                 e = tuple(map(add, e1, e2))
-                for mono, d in nf(e).items():
+                nf = cache.get(e)
+                if nf is None:
+                    nf = self._monomial_nf(e)
+                for mono, d in nf.items():
                     out[mono] = out.get(mono, 0) + c * d
         mod = self._mod
         if mod is not None:

@@ -13,15 +13,16 @@ by the exponent of y_i, where the package reads the pieces from the Chern
 classes of the stage table; it tries every row the brute-force scan
 admits, both signs of row 1 included, and recomputes the minors gcd of the
 whole prefix for each, where the package searches row 1 up to sign and
-carries a column transform down the tree.  The brute-force
-Wu solve takes one full Steenrod square per basis monomial and one ring
-product per pairing entry, in every degree, where the package reads both
-sides from the top-degree functional.  The root-by-root tangent classes
-multiply the class by 1 + x, respectively 1 + x^2, once per Chern root
-x = y_i + u, with the roots u built from the tower's rows, where the
-package reads each stage's factor from the Chern classes of its stage
-table; the sympy tangent classes expand the same products symbolically and
-reduce them by the Groebner basis.
+carries a column transform down the tree.  The brute-force Wu solve takes
+one full Steenrod square per basis monomial and one ring product per
+pairing entry, in every degree, and eliminates over Z/n on lists of
+residues, where the package reads both sides of each pairing row from the
+top-degree functional and eliminates over Z/2 on rows packed into ints.
+The root-by-root tangent classes multiply the class by 1 + x, respectively
+1 + x^2, once per Chern root x = y_i + u, with the roots u built from the
+tower's rows, where the package reads each stage's factor from the Chern
+classes of its stage table; the sympy tangent classes expand the same
+products symbolically and reduce them by the Groebner basis.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import gcd
 import sympy as sp
 
 from bottcoh import GF2, ModularDomain, build_ring, steenrod_square
-from bottcoh.linalg import det_int, solve_mod
+from bottcoh.linalg import det_int
 from bottcoh.ring import CohomologyClass, image_of_terms
 
 
@@ -218,11 +219,35 @@ def brute_force_iso_search(ring, ring_prime, bound):
     return dfs([])
 
 
+def gauss_solve_mod(matrix, rhs, n):
+    """Solve ``matrix @ x = rhs`` over Z/n for an invertible square matrix
+    of int entries, by Gauss-Jordan elimination on lists with a unit pivot
+    in every column.  Raises ``ValueError`` when no unit pivot is left."""
+    size = len(matrix)
+    a = [[matrix[i][j] % n for j in range(size)] + [rhs[i] % n] for i in range(size)]
+    for col in range(size):
+        pivot = None
+        for i in range(col, size):
+            if a[i][col] != 0 and gcd(a[i][col], n) == 1:
+                pivot = i
+                break
+        if pivot is None:
+            raise ValueError("matrix is not invertible modulo %d" % n)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = pow(a[col][col], -1, n)
+        a[col] = [(v * inv) % n for v in a[col]]
+        for i in range(size):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [(a[i][j] - f * a[col][j]) % n for j in range(size + 1)]
+    return [a[i][size] for i in range(size)]
+
+
 def brute_force_wu_classes(tower):
     """Total Wu class over Z/2, solved in every degree d from
     integrate(v_d . x) = integrate(Sq(x)) over the basis x of degree
-    top - d, with a ring product per pairing entry and a full Steenrod
-    square per basis monomial."""
+    top - d, with a ring product per pairing entry, a full Steenrod
+    square per basis monomial and elimination on lists of residues."""
     ring = build_ring(tower, GF2)
     top = ring.top_degree
     v = ring.one()
@@ -236,7 +261,7 @@ def brute_force_wu_classes(tower):
             rows.append(
                 [int(ring.integrate(CohomologyClass(ring, {g: 1}) * x)) for g in comp]
             )
-        sol = solve_mod(rows, rhs, 2)
+        sol = gauss_solve_mod(rows, rhs, 2)
         v = v + CohomologyClass(ring, {g: s for g, s in zip(comp, sol) if s})
     return v
 

@@ -22,12 +22,14 @@ from bottcoh import (
     verify_pontrjagin_preservation,
     wu_classes,
 )
+from bottcoh.linalg import solve_mod
 from bottcoh.ring import BottRing, IsoWitness
 
 from .conftest import small_tower_corpus
 from .oracles import (
     brute_force_wu_classes,
     class_terms,
+    gauss_solve_mod,
     root_by_root_tangent_classes,
     sympy_normal_form,
     sympy_tangent_classes,
@@ -236,6 +238,29 @@ def test_wu_classes_match_brute_force_oracle(rng):
                 )
         towers += 1
     assert towers == 139
+
+
+def test_solve_mod_matches_elimination_on_lists(rng):
+    # the packed Z/2 solve against the oracle's Z/n elimination on lists, on
+    # seeded invertible systems whose right-hand sides count only by parity;
+    # the same system with a repeated row is singular for both
+    for size in range(1, 41):
+        while True:
+            matrix = [[rng.randint(0, 1) for _ in range(size)] for _ in range(size)]
+            rhs = [rng.randint(-3, 3) for _ in range(size)]
+            try:
+                want = gauss_solve_mod(matrix, rhs, 2)
+            except ValueError:
+                continue
+            break
+        rows = [sum(v << j for j, v in enumerate(row)) for row in matrix]
+        assert solve_mod(rows, rhs) == want, (size, matrix, rhs)
+        singular = rows[:-1] + [rows[0] if size > 1 else 0]
+        with pytest.raises(ValueError):
+            solve_mod(singular, rhs)
+        with pytest.raises(ValueError):
+            gauss_solve_mod(matrix[:-1] + [matrix[0] if size > 1 else [0]], rhs, 2)
+    assert solve_mod([], []) == []
 
 
 def test_tangent_classes_cost_a_few_products_per_stage(rng, monkeypatch):

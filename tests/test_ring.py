@@ -89,6 +89,49 @@ def test_relation_terms_are_the_reduced_root_product(rng):
             assert gf3.relation_terms(i) == {lead: 1, **reduced}
 
 
+def test_zero_roots_cost_no_products(rng, monkeypatch):
+    # a zero root adds nothing to any c_q, so a product tower's stage table
+    # takes no ring product and a stage with r nonzero roots takes the
+    # r(r - 1)/2 of the recurrence over those alone; the relations of
+    # towers that mix zero and nonzero rows still match sympy's, over Z/2
+    # too, where a row of even entries is a zero root
+    raw_mul = BottRing._raw_mul
+    calls = []
+
+    def counting_mul(ring, a, b):
+        calls.append(ring)
+        return raw_mul(ring, a, b)
+
+    monkeypatch.setattr(BottRing, "_raw_mul", counting_mul)
+    cp = build_ring(product_tower((4095,)))
+    build_ring(product_tower((3, 1, 2)))
+    assert calls == []
+    assert cp.chern == (({},) * 4095,)
+    assert cp.relation_terms(1) == {(4096,): 1}
+    for _ in range(12):
+        stages = [
+            (n, [[rng.randint(-3, 3) for _ in range(i)] if rng.random() < 0.5
+                 else [0] * i for _ in range(n)])
+            for i, n in enumerate(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
+        ]
+        tower = validate_tower(stages)
+        calls.clear()
+        ring = build_ring(tower)
+        assert len(calls) == sum(
+            r * (r - 1) // 2
+            for r in (sum(map(any, rows)) for _, rows in stages)
+        ), tower
+        gf2 = build_ring(tower, GF2)
+        for i, n in enumerate(tower.dims, start=1):
+            terms = ring.relation_terms(i)
+            diff = dict(terms)
+            for e, c in sympy_relation(tower, i).items():
+                diff[e] = diff.get(e, 0) - c
+            assert sympy_normal_form(tower, diff) == {}, (tower, i)
+            assert len(ring.chern[i - 1]) == n
+            assert gf2.relation_terms(i) == {e: c % 2 for e, c in terms.items() if c % 2}
+
+
 @pytest.mark.parametrize("domain", [ZZ, QQ, ModularDomain(2)], ids=str)
 def test_stage_roots_split_the_relation(domain, rng):
     # trivial root first, then the rows as classes (equality of classes
