@@ -1,8 +1,7 @@
-"""Small exact linear algebra helpers over Z, Q and Z/2."""
+"""Small exact linear algebra helpers over Z and Z/2."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -112,28 +111,3 @@ def solve_mod(rows: list[int], rhs: list[int]) -> list[int]:
         a[col] = pivot
     return [r >> size for r in a]
 
-
-def rank_exact(rows: list[list]) -> int:
-    """Rank of a matrix with int or Fraction entries, by exact elimination."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, len(a)):
-            if a[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for i in range(len(a)):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [a[i][j] - f * a[row][j] for j in range(ncols)]
-        row += 1
-        rank += 1
-    return rank

@@ -16,28 +16,36 @@ when it vanishes over Z.
 The expression is one polynomial in b per basis monomial, linear in the
 pieces.  The scan structure (which polynomials can occur, their supports,
 their integer weights and the walk over them) is compiled once per ring and
-piece shape and kept on the ring; it holds no modulus.  Each call fills it
-with the pieces' integer coefficients and then walks the box depth-first,
-one coordinate at a time, reducing by the modulus of the walk.  Fixing b_j
-substitutes it into the polynomials once for all the vectors that share
-the prefix b_1..b_j (shared substitution), and a polynomial that involves
-no coordinate after b_j is then a constant: a nonzero one rejects the
-whole prefix at once (early rejection).  In a Bott tower the coefficient
-of y_l y_k in h^2 involves b_k and lower coordinates only, so most
-prefixes die well before the last coordinate.
+shape of the pieces of positive exponent and kept on the ring; it holds no
+modulus.  A constant piece takes no slot: its coefficient on a monomial is
+where that monomial's polynomial starts at its settling check.  Each call
+fills the structure with the pieces' integer coefficients and then walks
+the box depth-first, one coordinate at a time, reducing by the modulus of
+the walk.  A walk over Z may substitute the affine coordinates
+z_j = s b_j + l_j (s > 0) for b_j; it still yields b, in the same order.
+Fixing b_j substitutes it into the polynomials once for all the vectors
+that share the prefix b_1..b_j (shared substitution), and a polynomial that
+involves no coordinate after b_j is then a constant: a nonzero one rejects
+the whole prefix at once (early rejection).  In a Bott tower the
+coefficient of y_l y_k in h^2 involves b_k and lower coordinates only, so
+most prefixes die well before the last coordinate.
 
 The isomorphism search fixes the rows of a matrix depth-first; the DFS is
 a recursive generator, taken at its first item.  A row's candidates are
-lazily walked streams, one per stage image: the scan's pieces are the
-Chern classes c_q of the stage table mapped by the rows fixed so far, and
-the c_q read only the rows of the generators they involve, so DFS nodes
-whose prefixes agree on those rows pull from one walk, which advances only
-as far as some node takes it.  It searches row 1 up to sign: every
-relation is homogeneous and the box is symmetric, so -M is a witness
-whenever M is, and only rows 1 whose first nonzero entry is negative are
-tried.  Its unimodularity prune carries a column transform down the tree
-that clears the rows fixed so far, so each candidate row costs the gcd of
-its m - depth free entries instead of a reduction of the whole prefix.
+lazily walked streams, one per stage image: row i solves the stage
+relation f_i(x) = sum_q c_q x^(n+1-q), the Chern classes c_q of the stage
+table mapped by the rows fixed so far, depressed by z = (n+1) x + c_1 so
+that the term in z^n vanishes.  For a CP^1 stage that is z^2 = c_1^2,
+the squares of row 1 with a constant, so every row of a Bott-tower search
+walks the one {2: 1} plan of its target ring.  The c_q read only the rows
+of the generators they involve, so DFS nodes whose prefixes agree on those
+rows pull from one walk, which advances only as far as some node takes
+it.  It searches row 1 up to sign: every relation is homogeneous and the
+box is symmetric, so -M is a witness whenever M is, and only rows 1 whose
+first nonzero entry is negative are tried.  Its unimodularity prune
+carries a column transform down the tree that clears the rows fixed so
+far, so each candidate row costs the gcd of its m - depth free entries
+instead of a reduction of the whole prefix.
 
 Results are deterministic: candidates are enumerated in lexicographic order
 and the first complete witness is returned, which makes it the
@@ -47,6 +55,7 @@ lexicographically smallest one.
 from __future__ import annotations
 
 from copy import copy
+from functools import lru_cache
 from itertools import combinations_with_replacement, tee
 from math import factorial
 from operator import mul
@@ -64,26 +73,30 @@ from .scalars import ZZ
 
 
 def _compile(ring: BottRing, shape):
-    """Scan structure shared by every call whose pieces have this shape.
+    """Scan structure shared by every call whose pieces of exponent t >= 1
+    have this shape.
 
-    ``shape`` lists, per exponent t, the degrees that pieces[t] occupies.
-    By the multinomial theorem the coefficient of b^alpha on the basis
-    monomial mu is the sum over beta of
+    ``shape`` lists, per exponent t >= 1, the degrees that pieces[t]
+    occupies.  By the multinomial theorem the coefficient of z^alpha on the
+    basis monomial mu is the sum over beta of
 
         pieces[|alpha|][beta] * multinomial(alpha) * NF(y^(beta + alpha))[mu],
 
     linear in the pieces.  Taking every basis monomial beta of those
     degrees gives each polynomial's possible support, and so a plan that
-    every piece of the shape can be filled into.
+    every piece of the shape can be filled into.  The constant piece
+    pieces[0] takes no slot: its coefficient on mu is where the polynomial
+    of mu starts at its settling check.
 
-    Returns ``(zeros, table, levels, width)``: ``zeros`` lists the
-    monomials mu whose polynomial is only the constant pieces[0][mu];
-    ``table[t, beta]`` lists the (root slot, weight) pairs that
-    pieces[t][beta] adds to; ``levels`` and ``width`` are the walk of
-    :func:`_plan`.  A weight is the integer multinomial(alpha) *
-    NF(y^(beta + alpha))[mu], never reduced, so the plan serves a walk
-    modulo any n (a weight that vanishes mod n only keeps a term that adds
-    zero).  Nothing in the plan depends on the largest exponent of a call.
+    Returns ``(settle, table, levels, width)``: ``settle[mu]`` is the
+    (level, check) pair that settles the polynomial of mu, and a monomial
+    with no key lies outside every polynomial; ``table[t, beta]`` lists the
+    (root slot, weight) pairs that pieces[t][beta] adds to; ``levels`` and
+    ``width`` are the walk of :func:`_plan`.  A weight is the integer
+    multinomial(alpha) * NF(y^(beta + alpha))[mu], never reduced, so the
+    plan serves a walk modulo any n (a weight that vanishes mod n only
+    keeps a term that adds zero).  Nothing in the plan depends on the
+    largest exponent of a call, on its constant piece or on its shift.
     """
     m = ring.height
     polys: dict = {}  # mu -> alpha -> [(t, beta, weight)]
@@ -102,40 +115,42 @@ def _compile(ring: BottRing, shape):
                 for mu, c in ring._monomial_nf(e).items():
                     polys.setdefault(mu, {}).setdefault(alpha, []).append(
                         (t, beta, mult * c))
-    zeros = [mu for mu, poly in polys.items() if not any(map(any, poly))]
-    polys = [poly for poly in polys.values() if any(map(any, poly))]
-    slots, levels, width = _plan(polys, m)
+    slots, settle, levels, width = _plan(list(polys.values()), m)
     table: dict = {}
-    for poly, slot in zip(polys, slots):
+    for poly, slot in zip(polys.values(), slots):
         for alpha, entries in poly.items():
             for t, beta, w in entries:
                 table.setdefault((t, beta), []).append((slot[alpha], w))
-    return zeros, table, levels, width
+    return dict(zip(polys, settle)), table, levels, width
 
 
 def _plan(polys, m: int):
-    """Static plan of the walk over b_1..b_m for polynomials given by their
+    """Static plan of the walk over z_1..z_m for polynomials given by their
     supports (each an iterable of exponent vectors alpha).
 
-    Entering level j (b_j is the next coordinate, 0-based), a polynomial
+    Entering level j (z_j is the next coordinate, 0-based), a polynomial
     still in play is held as one coefficient per distinct tail alpha[j:] of
-    its exponent vectors: a slot.  Fixing b_j = v sends the slot of tail
+    its exponent vectors: a slot.  Fixing z_j = v sends the slot of tail
     (k,) + s to the child's slot of s, times v^k.  A polynomial is settled
     at the level of the last coordinate it involves: fixing that coordinate
     leaves a constant.  Every polynomial must involve some coordinate.
 
-    Returns the slot map, per polynomial {alpha: root slot}, the levels,
-    per level ``(checks, spread, width)``, and the root's number of slots.
-    ``checks`` holds, per polynomial settled there, the (slot, k) pairs
-    whose sum of coeff * v^k is its constant; ``spread`` holds the (slot,
-    child slot, k) multiply-adds that give the child's coefficients of the
-    rest; ``width`` is the child's number of slots.
+    Returns the slot map, per polynomial {alpha: root slot}, the settling
+    check of each polynomial as a pair (level, index into that level's
+    ``checks``), the levels, per level ``(checks, spread, width)``, and the
+    root's number of slots.  ``checks`` holds, per polynomial settled
+    there, the pair (terms, start): its value is start plus the sum of
+    coeff * v^k over its (slot, k) terms, and the start is 0 here, for a
+    call to set from its constant piece; ``spread`` holds the (slot, child
+    slot, k) multiply-adds that give the child's coefficients of the rest;
+    ``width`` is the child's number of slots.
     """
     last = [max(j for a in poly for j, e in enumerate(a) if e) for poly in polys]
     terms = [(p, a) for p, poly in enumerate(polys) for a in poly]
     # built from the last level down, a slot is (k, its child slot) or, at
     # the settling level, (k, -1 - p): small keys, no tuple slicing
     slot = [-1 - p for p, _ in terms]
+    settle = [None] * len(polys)
     levels = []
     width = 0
     for j in range(m - 1, -1, -1):
@@ -150,38 +165,48 @@ def _plan(polys, m: int):
                 checks.setdefault(child, []).append((s, k))
             else:
                 spread.append((s, child, k))
-        levels.append((list(checks.values()), spread, width))
+        for c, child in enumerate(checks):
+            settle[-1 - child] = (j, c)
+        levels.append(([(pairs, 0) for pairs in checks.values()], spread, width))
         width = len(index)
     levels.reverse()
     slots: list[dict] = [{} for _ in polys]
     for (p, a), s in zip(terms, slot):
         slots[p][a] = s
-    return slots, levels, width
+    return slots, settle, levels, width
 
 
-def _scan(ring: BottRing, pieces: dict, values, mod=0):
+def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     """Generate every nonzero b in values^m, in lexicographic order, with
-    sum_t pieces[t] * (sum_j b_j y_j)^t == 0 (mod ``mod``) in a ring over Z.
+    sum_t pieces[t] * (sum_j z_j y_j)^t == 0 (mod ``mod``) in a ring over Z,
+    where z = b, or z_j = s * b_j + l_j for ``shift`` = (s, l) with s > 0.
 
     ``values`` lists the coefficients tried per coordinate, in order: a
     bounded search passes range(-bound, bound + 1), a count over Z/n passes
     the residues range(n).  ``mod`` is the modulus of the walk, 0 for none;
     the caller names it, and a walk mod n gives what the same scan of the
-    ring over Z/n would give.  Pieces above the top degree add zero.
+    ring over Z/n would give.  A shifted walk is over Z (``mod`` 0), where
+    the isomorphism search uses it for its depressed stage relations (see
+    :func:`_depressed`); z_j is increasing in b_j, so the order is kept.
+    Pieces above the top degree add zero.
 
-    The scan structure is compiled once per ring and piece shape (see
-    :func:`_compile`) and kept on the ring, whatever the modulus; each call
-    fills the root's coefficients from the pieces (reduced mod n in a walk
-    mod n), and walks the polynomials depth-first over the coordinates,
-    with an explicit stack, in the order of ``values`` at each level.  A
-    node is a prefix b_1..b_j with the coefficients of the polynomials still
-    in play after substituting it (see :func:`_plan`); each child costs one
-    multiply-add per slot.  A polynomial settled by the child's coordinate
-    must vanish (mod n in a walk mod n), else the child and its whole
-    subtree are skipped; once settled it is dropped.  At the last coordinate
-    every remaining polynomial is univariate and settles, so a leaf is a
-    solution exactly when all of them vanish.  The walk is lazy: it
-    advances only as far as its consumer takes vectors.
+    The scan structure is compiled once per ring and shape of the pieces
+    of exponent t >= 1 (see :func:`_compile`) and kept on the ring,
+    whatever the modulus, constant piece or shift; each call fills the
+    root's coefficients from those pieces (reduced mod n in a walk mod n),
+    starts each polynomial's settling check at its coefficient in the
+    constant piece, and walks the polynomials depth-first over the
+    coordinates, with an explicit stack, in the order of ``values`` at each
+    level.  A nonzero constant on a monomial outside every polynomial ends
+    the walk before it starts.  A node is a prefix b_1..b_j with the
+    coefficients of the polynomials still in play after substituting
+    z_1..z_j (see :func:`_plan`); each child costs one multiply-add per
+    slot.  A polynomial settled by the child's coordinate must vanish (mod
+    n in a walk mod n), else the child and its whole subtree are skipped;
+    once settled it is dropped.  At the last coordinate every remaining
+    polynomial is univariate and settles, so a leaf is a solution exactly
+    when all of them vanish.  The walk is lazy: it advances only as far as
+    its consumer takes vectors.
     """
     m = ring.height
     live = {}
@@ -189,16 +214,27 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0):
         piece = pieces.get(t)
         if piece is not None and not piece.is_zero():
             live[t] = piece
+    constant = live.pop(0, None)
     shape = tuple((t, tuple(piece.degrees())) for t, piece in live.items())
     plan = ring._scan_plans.get(shape)
     if plan is None:
         plan = ring._scan_plans[shape] = _compile(ring, shape)
-    zeros, table, levels, width = plan
-    if zeros:  # polynomials that are the constant pieces[0][mu]
-        constant = live[0]._c
-        if any(constant.get(mu, 0) % mod if mod else mu in constant
-               for mu in zeros):
-            return  # a nonzero constant polynomial: no b solves it
+    settle, table, levels, width = plan
+    if constant is not None:
+        starts = {}
+        for mu, c in constant.items():
+            at = settle.get(mu)
+            if at is not None:
+                starts[at] = c
+            elif not mod or c % mod:
+                return  # a nonzero constant polynomial: no b solves it
+        if starts:
+            levels = list(levels)
+            for j in {j for j, _ in starts}:
+                checks, spread, child_width = levels[j]
+                checks = [(terms, starts.get((j, i), 0))
+                          for i, (terms, _) in enumerate(checks)]
+                levels[j] = checks, spread, child_width
     root = [0] * width
     for t, piece in live.items():
         for beta, c in piece.items():
@@ -206,16 +242,17 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0):
                 root[s] += c * w
     if mod:
         root = [c % mod for c in root]
-    exponents = range(max(live, default=0) + 1)
-    powers = [[v**k for k in exponents] for v in values]
+    values = tuple(values)
+    scale, lift = shift or (1, (0,) * m)
+    powers = [_powers(values, scale, l, max(live, default=0)) for l in lift]
     stack = [((), root)]
     while stack:
         prefix, coeffs = stack.pop()
-        checks, spread, width = levels[len(prefix)]
+        depth = len(prefix)
+        checks, spread, width = levels[depth]
         children = []
-        for v, pw in zip(values, powers):
-            for terms in checks:
-                c = 0
+        for v, pw in zip(values, powers[depth]):
+            for terms, c in checks:
                 for i, k in terms:
                     c += coeffs[i] * pw[k]
                 if (c % mod if mod else c):
@@ -231,6 +268,15 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0):
                     yield vec
         children.reverse()
         stack += children
+
+
+@lru_cache(maxsize=128)
+def _powers(values: tuple, scale: int, offset: int, top: int) -> tuple:
+    """Per v in ``values``, the powers (scale * v + offset)^k for k <= top.
+    A search reuses a few dozen tables; the bound keeps a long search at a
+    large bound from holding on to many tables of (2 bound + 1) rows."""
+    return tuple(tuple((scale * v + offset)**k for k in range(top + 1))
+                 for v in values)
 
 
 def _check_bound(bound) -> range:
@@ -268,13 +314,58 @@ def _stage_pieces(source: BottRing, target: BottRing, rows, i: int) -> dict:
     ``rows``: f_i = sum_q c_q y_i^(n_i+1-q), so piece n_i+1-q is the image
     of c_q, read from the stage table (c_0 = 1).  The c_q only involve
     generators < i, whose rows are fixed, and only the rows of the
-    generators they involve are mapped; a zero c_q gives a zero piece."""
-    images = {j: target.linear_class(rows[j]) for j in _stage_reads(source, i)}
+    generators they involve are mapped; a zero c_q gives a zero piece.
+    c_1 = sum_j a_j y_j is linear, so its image is the linear class of
+    sum_j a_j rows[j]."""
+    chern = source.chern[i - 1]
     top = source.dims[i - 1] + 1
-    pieces = {top: target.one()}
-    for q, cq in enumerate(source.chern[i - 1], start=1):
-        pieces[top - q] = image_of_terms(target, images, cq)
+    lift = [0] * target.height
+    for g, a in chern[0].items():
+        for k, v in enumerate(rows[g.index(1)]):
+            lift[k] += a * v
+    pieces = {top: target.one(), top - 1: target.linear_class(lift)}
+    higher = chern[1:]  # c_2.., mapped through the images of the rows they read
+    if higher:
+        images = {j: target.linear_class(rows[j]) for j in _stage_reads(source, i)}
+        for q, cq in enumerate(higher, start=2):
+            pieces[top - q] = image_of_terms(target, images, cq)
     return pieces
+
+
+def _depressed(ring: BottRing, pieces: dict):
+    """Depressed pieces and shift of the scan of a stage relation.
+
+    ``pieces`` are those of :func:`_stage_pieces`, the relation
+    f(x) = sum_q c_q x^(n+1-q) with c_0 = 1 and c_1 of degree 1.  The
+    substitution z = (n+1) x + c_1 gives (n+1)^(n+1) f = sum_r D_r z^r with
+    D_(n+1) = 1, D_n = 0 and
+
+        D_r = sum_q (n+1)^q C(n+1-q, r) (-c_1)^(n+1-q-r) c_q,
+
+    computed as the Taylor shift by -c_1 of the coefficients (n+1)^q c_q.
+    The ring is free over Z, so f vanishes exactly where the depressed sum
+    does.  Returns the pieces {r: D_r} and the shift (n + 1, l) of
+    :func:`_scan`, l the coefficients of c_1, so that z_j = (n+1) b_j + l_j.
+    For a CP^1 stage the depressed relation is z^2 = c_1^2: the pieces
+    {2: 1, 0: -c_1^2}, whose plan is that of {2: 1}.
+    """
+    top = max(pieces)  # n + 1
+    c1 = pieces[top - 1]._c
+    lift = [0] * ring.height
+    for e, c in c1.items():
+        lift[e.index(1)] = c
+    # a[t] = (n+1)^(n+1-t) c_(n+1-t), the coefficients in w = (n+1) x; a[top]
+    # is 1 and never changes, so it is not copied
+    a = [{e: c * top ** (top - t) for e, c in pieces[t].items()} if t in pieces
+         else {} for t in range(top)] + [pieces[top]._c]
+    shift = {e: -c for e, c in c1.items()}
+    for i in range(top):
+        ring._raw_add(a[top - 1], shift)  # shift * a[top]
+        for j in range(top - 2, i - 1, -1):
+            if a[j + 1]:
+                ring._raw_add(a[j], ring._raw_mul(shift, a[j + 1]))
+    return ({t: CohomologyClass(ring, terms) for t, terms in enumerate(a) if terms},
+            (top, tuple(lift)))
 
 
 def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness | None:
@@ -289,6 +380,14 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     (its pieces are the c_q of stage i, see :func:`_stage_pieces`).  The DFS
     is a generator of the stage-verified matrices in this order, taken at
     its first item.
+
+    Every row walks its stage relation depressed by z = (n+1) x + c_1
+    (:func:`_depressed`), one rule for every fiber dimension: the scan runs
+    over z_j = (n+1) b_j + l_j, l the coefficients of the image of c_1, and
+    yields b.  The ring is free over Z, so no solution is lost, and z is
+    increasing in b, so the order and the first witness are kept.  A CP^1
+    row is z^2 = c_1^2, whose plan is the {2: 1} plan of row 1: a search on
+    a Bott tower compiles one plan on its target ring.
 
     Row i's candidates are lazily walked streams, one per stage image: the
     pieces depend only on the earlier rows that the c_q of stage i read
@@ -326,8 +425,9 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
         key = (depth,) + tuple(rows[j] for j in reads[depth])
         stream = streams.get(key)
         if stream is None:
-            pieces = _stage_pieces(source, target, rows, depth + 1)
-            walk = _scan(target, pieces, values)
+            pieces, shift = _depressed(
+                target, _stage_pieces(source, target, rows, depth + 1))
+            walk = _scan(target, pieces, values, 0, shift)
             stream = streams[key] = tee(walk, 1)[0]
         return copy(stream)  # an independent cursor over the shared walk
 

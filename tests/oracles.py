@@ -22,11 +22,13 @@ The root-by-root tangent classes multiply the class by 1 + x, respectively
 1 + x^2, once per Chern root x = y_i + u, with the roots u built from the
 tower's rows, where the package reads each stage's factor from the Chern
 classes of its stage table; the sympy tangent classes expand the same
-products symbolically and reduce them by the Groebner basis.
+products symbolically and reduce them by the Groebner basis.  The exact
+rank eliminates over Q on fractions; the package has no rank routine.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -134,16 +136,18 @@ def random_order_reduce(ring, terms, rng) -> dict:
     return out
 
 
-def brute_force_scan(ring, pieces, tmax, values) -> list:
+def brute_force_scan(ring, pieces, tmax, values, shift=None) -> list:
     """All nonzero b in values^m, in lexicographic order, with
-    sum_t pieces[t] * (sum_j b_j y_j)^t == 0, by Horner's rule in the ring."""
+    sum_t pieces[t] * (sum_j z_j y_j)^t == 0, by Horner's rule in the ring,
+    where z = b, or z_j = s * b_j + l_j for ``shift`` = (s, l)."""
     zero = ring.zero()
     piece_list = [pieces.get(t, zero) for t in range(tmax + 1)]
+    scale, lift = shift or (1, (0,) * ring.height)
     out = []
     for vec in product(values, repeat=ring.height):
         if not any(vec):
             continue
-        h = ring.linear_class(vec)
+        h = ring.linear_class([scale * b + l for b, l in zip(vec, lift)])
         acc = piece_list[tmax]
         for t in range(tmax - 1, -1, -1):
             acc = acc * h + piece_list[t]
@@ -280,3 +284,29 @@ def root_by_root_tangent_classes(ring):
             chern = chern * (one + x)
             pontrjagin = pontrjagin * (one + x * x)
     return chern, pontrjagin
+
+
+def rank_exact(rows: list[list]) -> int:
+    """Rank of a matrix with int or Fraction entries, by exact elimination."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    ncols = len(a[0]) if a else 0
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(row, len(a)):
+            if a[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [v * inv for v in a[row]]
+        for i in range(len(a)):
+            if i != row and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [a[i][j] - f * a[row][j] for j in range(ncols)]
+        row += 1
+        rank += 1
+    return rank

@@ -33,11 +33,11 @@ from bottcoh import (
     validate_tower,
     verify_map,
 )
-from bottcoh.linalg import det_int, rank_exact
+from bottcoh.linalg import det_int
 from bottcoh.ring import apply_map
 
 from .conftest import random_tower, small_tower_corpus
-from .oracles import class_terms, random_order_reduce
+from .oracles import class_terms, random_order_reduce, rank_exact
 
 
 @contextmanager

@@ -25,9 +25,11 @@ from bottcoh import (
     validate_tower,
     verify_map,
 )
+from bottcoh import classify
 from bottcoh.classify import _square_zero_count_mod
 from bottcoh.linalg import clear_row, det_int, minors_gcd
-from bottcoh.search import _scan, _stage_pieces
+from bottcoh.ring import image_of_terms
+from bottcoh.search import _depressed, _scan, _stage_pieces
 
 from .conftest import random_tower
 from .oracles import (
@@ -36,6 +38,7 @@ from .oracles import (
     brute_force_scan,
     brute_force_square_zero_count,
     relation_split,
+    sympy_relation,
 )
 
 # the domain of the oracle's ring: a walk of the integer ring modulo the
@@ -341,8 +344,8 @@ def test_scan_matches_oracle_on_iso_search_stage_splits(domain):
 )
 def test_iso_search_matches_oracle_scan(t, tp, bound, monkeypatch):
     got = iso_search(build_ring(t), build_ring(tp), bound)
-    monkeypatch.setattr(search, "_scan", lambda ring, pieces, values:
-                        brute_force_scan(ring, pieces, max(pieces), values))
+    monkeypatch.setattr(search, "_scan", lambda ring, pieces, values, mod, shift:
+                        brute_force_scan(ring, pieces, max(pieces), values, shift))
     expected = iso_search(build_ring(t), build_ring(tp), bound)
     if expected is None:
         assert got is None
@@ -564,6 +567,59 @@ def test_stage_pieces_are_the_relation_split(domain, rng):
         assert pieces[1].is_zero() and 1 not in relation_split(ring, ring, [(1, 0, 0)], 2)
 
 
+# stages whose c_1 vanishes: y2 (y2 + y1)(y2 - y1), and
+# y3^2 (y3 + y1 + y2)(y3 - y1 - y2) over CP^2 x CP^1
+C1_ZERO = [
+    validate_tower([(1, []), (2, [[1], [-1]]), (1, [[2, 1]])]),
+    validate_tower([(2, []), (1, [[0]]), (3, [[1, 1], [-1, -1], [0, 0]])]),
+]
+
+
+def test_depressed_stage_relation_is_the_scaled_relation(rng):
+    # z = (n+1) x + c_1 turns (n+1)^(n+1) f_i(x) into sum_r D_r z^r with no
+    # z^n term: checked at a random x in the ring itself, where the earlier
+    # relations hold, against the relation expanded by sympy.  For random
+    # earlier rows, the shifted walk of the depressed pieces must find the
+    # rows of the oracle's scan of the undepressed pieces, in order
+    towers = [GEN] + C1_ZERO + [
+        validate_tower([(3, []), (2, [[1], [2]])]),
+        validate_tower([(1, []), (1, [[1]]), (2, [[1, -1], [0, 2]]), (1, [[1, 0, -1]])]),
+    ]
+    while len(towers) < 16:
+        tower = random_tower(rng, max_height=4, max_dim=3, max_entry=2)
+        if tower.height >= 2 and sum(tower.dims) <= 7:
+            towers.append(tower)
+    assert {n for t in towers for n in t.dims} == {1, 2, 3}
+    assert {t.height for t in towers} == {2, 3, 4}
+    walked = {True: 0, False: 0}
+    for tower in towers:
+        ring = build_ring(tower)
+        m = ring.height
+        bound = 1 if m == 4 else 2
+        values = range(-bound, bound + 1)
+        identity = [tuple(int(j == k) for k in range(m)) for j in range(m)]
+        for i in range(2, m + 1):
+            n = ring.dims[i - 1]
+            depressed, (scale, lift) = _depressed(
+                ring, _stage_pieces(ring, ring, identity, i))
+            assert scale == n + 1 and depressed[n + 1] == ring.one()
+            assert n not in depressed
+            x = ring.linear_class([rng.randint(-3, 3) for _ in range(m)])
+            z = scale * x + ring.linear_class(lift)
+            images = list(ring.gens()[:i - 1]) + [x]
+            relation = image_of_terms(ring, images, sympy_relation(tower, i))
+            assert sum((d * z**r for r, d in depressed.items()), ring.zero()) \
+                == scale ** scale * relation, (tower, i)
+            rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
+            pieces = _stage_pieces(ring, ring, rows, i)
+            depressed, (scale, lift) = _depressed(ring, pieces)
+            assert ring.linear_class(lift) == pieces[n]
+            hits = list(_scan(ring, depressed, values, 0, (scale, lift)))
+            assert hits == brute_force_scan(ring, pieces, n + 1, values), (tower, rows, i)
+            walked[bool(hits)] += 1
+    assert min(walked.values()) >= 5, walked
+
+
 @pytest.mark.parametrize("t, tp, bound, scans, found", [
     (GEN, GEN_DUAL, 2, 3, True),
     (WALK, WALK.replace_stage(4, dualize_stage(WALK.stages[-1])), 2, 9, True),
@@ -742,10 +798,16 @@ def test_iso_search_witnesses_verify_property(case):
 
 
 def shaped_pieces(ring):
-    """Pieces {2: 1, 1: degree 1, 0: degree 2} of one shape, with different
-    supports: some coefficients zero, a single monomial, full support."""
-    one, d1, d2 = ring.one(), ring.basis(1), ring.basis(2)
+    """Pieces {2: 1, 1: degree 1, 0: constant} of one shape, with different
+    supports: some coefficients zero, a single monomial, full support, and
+    a constant whose degree-3 term 4 y^mu lies outside every polynomial
+    (the polynomials are those of degree 2): no vector solves it over Z,
+    while over Z/4 and Z/2 the term vanishes and the walk goes on."""
+    one, d1, d2, d3 = ring.one(), ring.basis(1), ring.basis(2), ring.basis(3)
     return [
+        {2: one,
+         1: ring.from_terms({d1[1]: 1}),
+         0: ring.from_terms({d2[2]: -1, d3[0]: 4})},
         {2: one,
          1: ring.from_terms({e: -1 for e in d1[::2]}),
          0: ring.from_terms({e: 2 for e in d2[1::2]})},
@@ -770,6 +832,8 @@ def test_scan_plan_compiled_once_per_shape(domain, order):
         assert plan is None or current is plan
         plan = current
     assert any(hits)
+    outside = hits[0 if order == 1 else -1]
+    assert bool(outside) == (domain.modulus == 4), (domain, outside)
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["z-first", "residues-first"])
@@ -787,7 +851,7 @@ def test_one_plan_serves_integer_and_residue_walks(order):
     assert len(ring._scan_plans) == 2
 
 
-def test_iso_search_compiles_one_plan_per_stage_shape():
+def test_iso_search_compiles_one_plan_per_stage_shape(monkeypatch):
     t = validate_tower([(1, []), (1, [[1]]), (1, [[-1, 2]]), (1, [[0, 1, -2]]),
                         (1, [[2, -1, 0, 1]])])
     tp = validate_tower([(1, []), (1, [[-1]]), (1, [[1, -2]]), (1, [[0, 1, 2]]),
@@ -795,8 +859,24 @@ def test_iso_search_compiles_one_plan_per_stage_shape():
     for source in (t, tp):
         target = build_ring(t)
         iso_search(target, build_ring(source), 1)
-        # stage 1 has pieces {2: 1}, later stages {2: 1, 1: degree 1}
-        assert 1 <= len(target._scan_plans) <= 2
+        # row 1 walks z^2 = 0 and every later row z^2 = c_1^2: the one
+        # {2: 1} plan of the target ring
+        assert list(target._scan_plans) == [((2, (0,)),)]
+    # a 3-stage classification that reaches the search: the residue walks
+    # of both rings and every row of the search share each ring's one plan
+    rings = []
+    real_build_ring = classify.build_ring
+
+    def recording_build_ring(*args):
+        rings.append(real_build_ring(*args))
+        return rings[-1]
+
+    monkeypatch.setattr(classify, "build_ring", recording_build_ring)
+    verdict = classify_3stage(bott_tower([[], [2], [1, 1]]),
+                              bott_tower([[], [-2], [-1, 1]]))
+    assert verdict.witness is not None
+    assert len(rings) == 2
+    assert [list(r._scan_plans) for r in rings] == [[((2, (0,)),)]] * 2
 
 
 def test_equal_rings_do_not_share_scan_plans():
