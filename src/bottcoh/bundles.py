@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from .errors import BundleHypothesisError, TowerFormatError
 from .ring import BottRing, CohomologyClass, build_ring
-from .scalars import ZZ
 from .towers import LineBundleSum, product_tower, validate_bundle
 
 
 def _base_ring(bundle: LineBundleSum) -> BottRing:
-    return build_ring(product_tower(bundle.base_dims), ZZ)
+    return build_ring(product_tower(bundle.base_dims))
 
 
 def total_chern_bundle(bundle) -> CohomologyClass:

@@ -59,14 +59,13 @@ from .ring import (
     build_ring,
     image_of_terms,
 )
-from .scalars import GF2, ZZ
 from .towers import bott_tower_3, validate_tower
 
 
 def _check_ring(tower, ring):
     if ring is None:
-        return build_ring(tower, ZZ)
-    if ring.tower != validate_tower(tower) or ring.domain != ZZ:
+        return build_ring(tower)
+    if ring.tower != validate_tower(tower) or ring.mod:
         raise RingMismatchError("ring does not present this tower over the required domain")
     return ring
 
@@ -125,7 +124,7 @@ def p1_b3(a: int, b: int, c: int) -> CohomologyClass:
     Kept independent of tangent_pontrjagin on purpose; the two routes
     cross-check each other in the test suite.
     """
-    ring = build_ring(bott_tower_3(a, b, c), ZZ)
+    ring = build_ring(bott_tower_3(a, b, c))
     coeff = c * (2 * b - a * c)
     return ring.from_terms({(1, 1, 0): coeff})
 
@@ -138,7 +137,7 @@ def steenrod_square(u: CohomologyClass) -> CohomologyClass:
     y_j -> y_j + y_j^2.
     """
     ring = u.ring
-    if ring.domain.modulus != 2:
+    if ring.mod != 2:
         raise DomainMismatchError("total squares are defined over Z/2 coefficients")
     return image_of_terms(ring, [y + y * y for y in ring.gens()], u._c)
 
@@ -180,7 +179,7 @@ def wu_classes(tower) -> CohomologyClass:
     of the ones solved, so every pairing is still checked for
     invertibility.
     """
-    ring = build_ring(tower, GF2)
+    ring = build_ring(tower, 2)
     top = ring.top_degree
     top_mono = ring._top
     cache = ring._nf_cache
@@ -247,7 +246,7 @@ class CharClassReport:
 
 def char_class_report(tower) -> CharClassReport:
     tower = validate_tower(tower)
-    ring = build_ring(tower, ZZ)
+    ring = build_ring(tower)
     wu = wu_classes(tower)
     return CharClassReport(
         total_chern=tangent_chern(tower, ring),

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import ModulusError, TowerFormatError
 from .ring import BottRing, CohomologyClass, build_ring
-from .scalars import ZZ
 from .search import _check_bound, _scan, iso_search
 from .towers import TowerSpec, validate_tower
 
@@ -128,7 +127,7 @@ def is_product_cohomology(tower) -> ProductWitness | ProductObstruction:
         w = tuple(s // (n + 1) for s in sums)
         if i > 1:
             if ring is None:
-                ring = BottRing(tower, ZZ)
+                ring = BottRing(tower)
             one = ring.one()
             w_cls = ring.linear_class(w + (0,) * (ring.height - len(w)))
             shifted = one
@@ -260,7 +259,7 @@ def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
     """
     if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 2:
         raise ModulusError(f"modulus must be an integer >= 2, got {modulus!r}")
-    return _residue_square_zero_count(build_ring(tower, ZZ), modulus)
+    return _residue_square_zero_count(build_ring(tower), modulus)
 
 
 def _residue_square_zero_count(ring: BottRing, modulus: int) -> int:
@@ -294,7 +293,7 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     p1p = abs(cp * (2 * bp - ap * cp))
     if p1 != p1p:
         return Verdict(DISTINCT, invariant=("p1_content", p1, p1p), bound=bound)
-    ring, ring_p = build_ring(t, ZZ), build_ring(tp, ZZ)
+    ring, ring_p = build_ring(t), build_ring(tp)
     for modulus in (2, 4):
         count = _residue_square_zero_count(ring, modulus)
         count_p = _residue_square_zero_count(ring_p, modulus)

@@ -25,9 +25,8 @@ from .classify import (
     classify_3stage,
     is_product_cohomology,
 )
-from .errors import BottcohError, RankLimitError
+from .errors import BottcohError, ModulusError, RankLimitError
 from .ring import build_ring
-from .scalars import QQ, ZZ, ModularDomain
 from .search import iso_search
 from .towers import load_bundle, load_tower
 
@@ -61,25 +60,24 @@ def _emit(args, obj, human: str) -> None:
 
 def _cmd_ring(args) -> int:
     tower = _load_bounded(args.tower)
-    if args.mod is not None:
-        domain = ModularDomain(args.mod)
-    elif args.rational:
-        domain = QQ
-    else:
-        domain = ZZ
-    ring = build_ring(tower, domain)
+    if args.mod is not None and args.mod < 2:
+        raise ModulusError(f"modulus must be an integer >= 2, got {args.mod}")
+    # the relations are monic with integer coefficients, so the ring over Q
+    # has the basis and relations of the ring over Z
+    ring = build_ring(tower, args.mod or 0)
+    domain = f"Z/{ring.mod}" if ring.mod else "Q" if args.rational else "Z"
     ranks = [ring.graded_rank(d) for d in range(ring.top_degree + 1)]
     basis = [list(e) for d in range(ring.top_degree + 1) for e in ring.basis(d)]
     relations = [_relation_obj(ring, i) for i in range(1, ring.height + 1)]
     obj = {
         "dims": list(ring.dims),
-        "domain": ring.domain.name,
+        "domain": domain,
         "graded_ranks": ranks,
         "relations": relations,
         "basis": basis,
     }
     lines = [
-        f"dims: {list(ring.dims)}  domain: {ring.domain.name}",
+        f"dims: {list(ring.dims)}  domain: {domain}",
         f"graded ranks (by half-degree): {ranks}",
         "relations:",
     ]
@@ -165,8 +163,8 @@ def _cmd_classify3(args) -> int:
 
 
 def _cmd_iso_search(args) -> int:
-    r1 = build_ring(_load_bounded(args.t1), ZZ)
-    r2 = build_ring(_load_bounded(args.t2), ZZ)
+    r1 = build_ring(_load_bounded(args.t1))
+    r2 = build_ring(_load_bounded(args.t2))
     witness = iso_search(r1, r2, args.bound)
     if witness is None:
         _emit(args, {"witness": None, "bound": args.bound}, "no witness found")
@@ -200,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tower")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--mod", type=int, help="coefficients mod P")
-    group.add_argument("--rational", action="store_true", help="rational coefficients")
+    group.add_argument("--rational", action="store_true",
+                       help="label the ring over Z as over Q")
     p.set_defaults(func=_cmd_ring)
 
     p = sub.add_parser("classes", help="Chern, Pontrjagin, Wu and Stiefel-Whitney classes")

@@ -20,7 +20,7 @@ class RingMismatchError(BottcohError, ValueError):
 
 
 class DomainMismatchError(BottcohError, ValueError):
-    """An operation required a different coefficient domain."""
+    """An operation needed a ring over Z, or over Z/2."""
 
 
 class UnverifiedMapError(BottcohError, ValueError):
@@ -32,7 +32,7 @@ class SearchBoundError(BottcohError, ValueError):
 
 
 class ModulusError(BottcohError, ValueError):
-    """A modulus for Z/n was not an integer >= 2."""
+    """A modulus for Z/n was not an integer >= 2 (a ring also takes 0, for Z)."""
 
 
 class RankLimitError(BottcohError, ValueError):

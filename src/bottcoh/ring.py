@@ -13,6 +13,8 @@ y_i-exponent and only introduces variables of smaller index, so reduction
 to this normal form terminates.  The generator y_i is minus the first Chern
 class of the tautological line bundle of stage i.  A ring derives its stage
 table (roots, c_q and the rewriting tail of each f_i) once, when built.
+A ring over Z/n has the same relations read mod n: they are monic with
+integer coefficients.
 
 Everything here is an immutable value and every operation is a pure
 function, so concurrent use needs no locking.  Only even-degree cohomology
@@ -22,17 +24,21 @@ exists for these spaces; a class of "degree d" here lives in H^{2d}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
-from .errors import DomainMismatchError, RingMismatchError, UnverifiedMapError
+from .errors import (
+    DomainMismatchError,
+    ModulusError,
+    RingMismatchError,
+    UnverifiedMapError,
+)
 from .linalg import det_int
-from .scalars import ZZ, Domain
 from .towers import TowerSpec, validate_tower
 
 
 class BottRing:
-    """The cohomology ring of a tower over Z, Q or Z/n.
+    """The cohomology ring of a tower over Z or Z/n: ``mod`` is 0 for Z and
+    n >= 2 for Z/n.
 
     The stage table is built stage by stage; stage i reads only the stages
     below it.  ``chern[i][q-1]`` is the coefficient dict of c_q(xi_{i+1}),
@@ -44,8 +50,7 @@ class BottRing:
     __slots__ = (
         "tower",
         "dims",
-        "domain",
-        "_mod",
+        "mod",
         "chern",
         "_tails",
         "_roots",
@@ -57,12 +62,14 @@ class BottRing:
         "top_degree",
     )
 
-    def __init__(self, tower: TowerSpec, domain: Domain = ZZ):
+    def __init__(self, tower: TowerSpec, mod: int = 0):
+        if isinstance(mod, bool) or not isinstance(mod, int) or mod < 0 or mod == 1:
+            raise ModulusError(
+                f"modulus must be 0 (for Z) or an integer >= 2, got {mod!r}")
         tower = validate_tower(tower)
         self.tower = tower
         self.dims = tower.dims
-        self.domain = domain
-        self._mod = domain.modulus
+        self.mod = mod
         self._nf_cache = {}
         self._basis_cache = {}
         self._scan_plans = {}  # compiled scans, see search._compile
@@ -79,7 +86,7 @@ class BottRing:
             for row in stage.summand_exponents:
                 u = {}
                 for e, a in zip(unit, row):
-                    if a and (c := domain.coerce(a)):
+                    if a and (c := self._int(a)):
                         u[e] = c
                 roots.append(u)
             # elementary symmetric polynomials c_1.. of the roots, reduced,
@@ -114,20 +121,20 @@ class BottRing:
             return NotImplemented
         return (
             self.dims == other.dims
-            and self.domain == other.domain
+            and self.mod == other.mod
             and self.chern == other.chern
         )
 
     def __hash__(self):
-        return hash((self.dims, self.domain))
+        return hash((self.dims, self.mod))
 
     def __repr__(self):
-        return f"BottRing(dims={self.dims}, domain={self.domain})"
+        return f"BottRing(dims={self.dims}, mod={self.mod})"
 
     def relation_terms(self, i: int) -> dict:
         """Raw coefficient dict of the stage-i relation f_i (1-based i)."""
         lead = (0,) * (i - 1) + (self.dims[i - 1] + 1,) + (0,) * (self.height - i)
-        terms = {lead: self.domain.one}
+        terms = {lead: 1}
         terms.update(self._rewrite_steps(lead, i - 1))
         return terms
 
@@ -165,7 +172,7 @@ class BottRing:
             return res
         i = self._overflow_index(e)
         if i is None:
-            res = cache[e] = {e: self.domain.one}
+            res = cache[e] = {e: 1}
             return res
         # post-order walk of the rewriting with an explicit stack, so the
         # length of a reduction chain is not bounded by Python's recursion
@@ -179,7 +186,7 @@ class BottRing:
                 if ee not in cache:
                     k = self._overflow_index(ee)
                     if k is None:
-                        cache[ee] = {ee: self.domain.one}
+                        cache[ee] = {ee: 1}
                     else:
                         stack.append((ee, self._rewrite_steps(ee, k)))
                         waiting = True
@@ -194,10 +201,10 @@ class BottRing:
         return cache[e]
 
     def _raw_add(self, accum: dict, terms: dict) -> dict:
-        mod = self._mod
+        mod = self.mod
         for k, v in terms.items():
             w = accum.get(k, 0) + v
-            if mod is not None:
+            if mod:
                 w %= mod
             if w:
                 accum[k] = w
@@ -217,8 +224,8 @@ class BottRing:
                     nf = self._monomial_nf(e)
                 for mono, d in nf.items():
                     out[mono] = out.get(mono, 0) + c * d
-        mod = self._mod
-        if mod is not None:
+        mod = self.mod
+        if mod:
             return {k: v % mod for k, v in out.items() if v % mod}
         return {k: v for k, v in out.items() if v}
 
@@ -228,10 +235,16 @@ class BottRing:
         return CohomologyClass(self, {})
 
     def one(self) -> "CohomologyClass":
-        return CohomologyClass(self, {(0,) * self.height: self.domain.one})
+        return CohomologyClass(self, {(0,) * self.height: 1})
+
+    def _int(self, value) -> int:
+        """An int coefficient, as its residue in range(mod) over Z/mod."""
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainMismatchError(f"coefficients are ints, got {value!r}")
+        return value % self.mod if self.mod else value
 
     def scalar(self, value) -> "CohomologyClass":
-        value = self.domain.coerce(value)
+        value = self._int(value)
         if value == 0:
             return self.zero()
         return CohomologyClass(self, {(0,) * self.height: value})
@@ -242,7 +255,7 @@ class BottRing:
             raise IndexError(f"generator index {i} out of range 1..{self.height}")
         e = [0] * self.height
         e[i - 1] = 1
-        return CohomologyClass(self, {tuple(e): self.domain.one})
+        return CohomologyClass(self, {tuple(e): 1})
 
     def gens(self):
         return tuple(self.gen(i) for i in range(1, self.height + 1))
@@ -254,7 +267,7 @@ class BottRing:
             raise ValueError("coefficient vector has wrong length")
         terms = {}
         for j, c in enumerate(coeffs):
-            c = self.domain.coerce(c)
+            c = self._int(c)
             if c != 0:
                 e = [0] * self.height
                 e[j] = 1
@@ -265,19 +278,17 @@ class BottRing:
         """Normal form of a formal polynomial given as {exponents: coefficient}.
 
         Exponents may exceed the componentwise bounds; coefficients are
-        coerced into the ring's domain.
+        ints, reduced mod ``mod`` over Z/mod.
         """
         raw = {}
         for e, c in dict(terms).items():
             e = tuple(int(x) for x in e)
             if len(e) != self.height or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {e}")
-            c = self.domain.coerce(c)
+            c = self._int(c)
             if c != 0:
-                raw[e] = raw.get(e, self.domain.zero) + c
-        return CohomologyClass(
-            self, self._raw_mul(raw, {(0,) * self.height: self.domain.one})
-        )
+                raw[e] = raw.get(e, 0) + c
+        return CohomologyClass(self, self._raw_mul(raw, {(0,) * self.height: 1}))
 
     # -- graded structure ----------------------------------------------------
 
@@ -332,7 +343,7 @@ class BottRing:
         """Coefficient of the top monomial y_1^{n_1} ... y_m^{n_m}."""
         if self != u.ring:
             raise RingMismatchError("class belongs to a different ring")
-        return u._c.get(self._top, self.domain.zero)
+        return u._c.get(self._top, 0)
 
 
 class CohomologyClass:
@@ -351,7 +362,7 @@ class CohomologyClass:
     # mapping-style access ---------------------------------------------------
 
     def coefficient(self, exponents):
-        return self._c.get(tuple(exponents), self.ring.domain.zero)
+        return self._c.get(tuple(exponents), 0)
 
     def items(self):
         return self._c.items()
@@ -387,8 +398,8 @@ class CohomologyClass:
     __radd__ = __add__
 
     def __neg__(self):
-        mod = self.ring._mod
-        if mod is None:
+        mod = self.ring.mod
+        if not mod:
             return CohomologyClass(self.ring, {e: -c for e, c in self._c.items()})
         return CohomologyClass(self.ring, {e: (-c) % mod for e, c in self._c.items()})
 
@@ -426,11 +437,8 @@ class CohomologyClass:
     def __eq__(self, other):
         if isinstance(other, CohomologyClass):
             return self.ring == other.ring and self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            try:
-                return self._c == self.ring.scalar(other)._c
-            except DomainMismatchError:
-                return False
+        if isinstance(other, int):
+            return not isinstance(other, bool) and self._c == self.ring.scalar(other)._c
         return NotImplemented
 
     def __hash__(self):
@@ -471,9 +479,9 @@ class CohomologyClass:
 # -- operation-style wrappers ---------------------------------------------
 
 
-def build_ring(tower, domain: Domain = ZZ) -> BottRing:
-    """Cohomology ring of a tower over the given coefficient domain."""
-    return BottRing(tower, domain)
+def build_ring(tower, mod: int = 0) -> BottRing:
+    """Cohomology ring of a tower over Z (``mod`` 0) or over Z/mod."""
+    return BottRing(tower, mod)
 
 
 def normal_form(ring: BottRing, terms) -> CohomologyClass:
@@ -584,7 +592,7 @@ def image_of_terms(target: BottRing, images, terms: dict) -> CohomologyClass:
     relations stage by stage and map only the generators a relation
     involves.
     """
-    one = {(0,) * target.height: target.domain.one}
+    one = {(0,) * target.height: 1}
     mul = target._raw_mul
     powers: dict[int, list[dict]] = {}  # powers[j][k] = images[j]^k, raw
     out: dict = {}
@@ -610,7 +618,7 @@ def verify_map(source: BottRing, target: BottRing, matrix) -> RingMap | None:
     isomorphism when additionally the matrix is square unimodular and the
     graded ranks agree.
     """
-    if source.domain != target.domain:
+    if source.mod != target.mod:
         raise DomainMismatchError("rings must share a coefficient domain")
     matrix = tuple(map(tuple, matrix))
     if len(matrix) != source.height or any(

@@ -69,7 +69,6 @@ from .ring import (
     image_of_terms,
     verify_map,
 )
-from .scalars import ZZ
 
 
 def _compile(ring: BottRing, shape):
@@ -296,7 +295,7 @@ def square_zero_elements(ring: BottRing, k: int, bound: int) -> list[CohomologyC
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive integer")
     values = _check_bound(bound)
-    if ring.domain != ZZ:
+    if ring.mod:
         raise DomainMismatchError("only rings over Z are searched")
     vectors = _scan(ring, {k: ring.one()}, values)
     return [ring.linear_class(v) for v in vectors]
@@ -412,7 +411,7 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     """
     values = _check_bound(bound)
     target, source = ring, ring_prime
-    if target.domain != ZZ or source.domain != ZZ:
+    if target.mod or source.mod:
         raise DomainMismatchError("only rings over Z are searched")
     if sorted(source.dims) != sorted(target.dims):
         return None

@@ -25,6 +25,11 @@ def rng(seed):
     return random.Random(seed)
 
 
+def mod_label(mod):
+    """Test id of a ring's modulus: Z for 0, Z/n for n."""
+    return f"Z/{mod}" if mod else "Z"
+
+
 def random_tower(rng, max_height=4, max_dim=3, max_entry=3):
     m = rng.randint(1, max_height)
     stages = []

@@ -34,7 +34,7 @@ from math import gcd
 
 import sympy as sp
 
-from bottcoh import GF2, ModularDomain, build_ring, steenrod_square
+from bottcoh import build_ring, steenrod_square
 from bottcoh.linalg import det_int
 from bottcoh.ring import CohomologyClass, image_of_terms
 
@@ -159,7 +159,7 @@ def brute_force_scan(ring, pieces, tmax, values, shift=None) -> list:
 def brute_force_square_zero_count(tower, modulus) -> int:
     """Number of nonzero residue vectors b in (Z/modulus)^m whose class
     sum_j b_j y_j squares to zero over Z/modulus, one ring square each."""
-    ring = build_ring(tower, ModularDomain(modulus))
+    ring = build_ring(tower, modulus)
     count = 0
     for vec in product(range(modulus), repeat=ring.height):
         if not any(vec):
@@ -252,7 +252,7 @@ def brute_force_wu_classes(tower):
     integrate(v_d . x) = integrate(Sq(x)) over the basis x of degree
     top - d, with a ring product per pairing entry, a full Steenrod
     square per basis monomial and elimination on lists of residues."""
-    ring = build_ring(tower, GF2)
+    ring = build_ring(tower, 2)
     top = ring.top_degree
     v = ring.one()
     for d in range(1, top + 1):

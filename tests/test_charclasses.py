@@ -3,7 +3,6 @@ from itertools import product as iproduct
 import pytest
 
 from bottcoh import (
-    GF2,
     DomainMismatchError,
     bott_tower_3,
     build_ring,
@@ -145,7 +144,7 @@ def test_tangent_classes_match_sympy_oracle(rng):
 
 
 def test_steenrod_square_examples():
-    r = build_ring(product_tower((2,)), GF2)
+    r = build_ring(product_tower((2,)), 2)
     one = r.one()
     y = r.gen(1)
     assert steenrod_square(one) == one
@@ -160,7 +159,7 @@ def test_steenrod_square_requires_mod2():
 
 
 def test_steenrod_square_additive_cartan(rng):
-    r = build_ring(validate_tower([(1, []), (2, [[1], [3]])]), GF2)
+    r = build_ring(validate_tower([(1, []), (2, [[1], [3]])]), 2)
 
     def rand_class():
         return r.from_terms(
@@ -177,7 +176,7 @@ def test_steenrod_square_additive_cartan(rng):
 
 
 def test_sq_component_vanishing_and_top(rng):
-    r = build_ring(bott_tower_3(1, 0, 1), GF2)
+    r = build_ring(bott_tower_3(1, 0, 1), 2)
     for e in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)]:
         x = r.from_terms({e: 1})
         d = sum(e)
@@ -188,7 +187,7 @@ def test_sq_component_vanishing_and_top(rng):
 
 
 def test_sq_component_rejects_bad_k():
-    r = build_ring(product_tower((2,)), GF2)
+    r = build_ring(product_tower((2,)), 2)
     y = r.gen(1)
     for k in (1.5, 2.0, True, False, -2, "2"):
         with pytest.raises(ValueError):
@@ -305,7 +304,7 @@ def test_stiefel_whitney_examples():
 
 def test_stiefel_whitney_matches_chern_mod2_on_corpus():
     for tower in small_tower_corpus():
-        chern_mod2, _ = root_by_root_tangent_classes(build_ring(tower, GF2))
+        chern_mod2, _ = root_by_root_tangent_classes(build_ring(tower, 2))
         assert stiefel_whitney(tower) == chern_mod2, tower
 
 

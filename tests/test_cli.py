@@ -21,6 +21,9 @@ from bottcoh import (
 from bottcoh import cli
 from bottcoh.cli import canonical_json, main
 
+from .conftest import random_tower
+from .oracles import sympy_normal_form, sympy_relation
+
 
 @pytest.fixture
 def tower_file(tmp_path):
@@ -98,11 +101,30 @@ def test_ring_command_modular(tower_file, capsys):
     assert {"coeff": "1", "exponents": [1, 1]} in obj["relations"][1]
 
 
-def test_ring_command_rational(tower_file, capsys):
-    h1 = tower_file("h1.json", hirzebruch(1))
-    code, out, _ = run_cli(capsys, "--json", "ring", h1, "--rational")
-    assert code == 0
-    assert json.loads(out)["domain"] == "Q"
+def test_ring_command_rational(tower_file, capsys, rng):
+    # the relations are monic with integer coefficients, so the ring over Q
+    # prints as the ring over Z with the label Q; each relation is the
+    # leading power plus the normal form, by sympy, of the rest of
+    # y_i prod_rows (y_i + row . y)
+    towers = [hirzebruch(1), validate_tower([(1, []), (2, [[1], [3]]), (1, [[2, -1]])])]
+    towers += [random_tower(rng, max_height=3, max_dim=2) for _ in range(4)]
+    for k, tower in enumerate(towers):
+        path = tower_file(f"t{k}.json", tower)
+        for fmt, z, q in (([], "domain: Z", "domain: Q"),
+                          (["--json"], '"domain":"Z"', '"domain":"Q"')):
+            code, out_z, _ = run_cli(capsys, *fmt, "ring", path)
+            assert code == 0 and out_z.count(z) == 1
+            code, out_q, _ = run_cli(capsys, *fmt, "ring", path, "--rational")
+            assert code == 0
+            assert out_q == out_z.replace(z, q), tower
+        relations = json.loads(out_q)["relations"]
+        for i, n in enumerate(tower.dims, start=1):
+            lead = tuple(n + 1 if j == i - 1 else 0 for j in range(tower.height))
+            rest = sympy_relation(tower, i)
+            assert rest.pop(lead) == 1
+            expected = {lead: 1, **sympy_normal_form(tower, rest)}
+            got = {tuple(t["exponents"]): int(t["coeff"]) for t in relations[i - 1]}
+            assert got == expected, (tower, i)
 
 
 def test_classify3_and_bound_flag(tower_file, capsys):

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottcoh import (
-    GF2,
-    QQ,
-    ZZ,
     DomainMismatchError,
-    ModularDomain,
     ModulusError,
     SearchBoundError,
     bott_tower_3,
@@ -31,7 +27,7 @@ from bottcoh.linalg import clear_row, det_int, minors_gcd
 from bottcoh.ring import image_of_terms
 from bottcoh.search import _depressed, _scan, _stage_pieces
 
-from .conftest import random_tower
+from .conftest import mod_label, random_tower
 from .oracles import (
     brute_force_iso_search,
     brute_force_minors_gcd,
@@ -41,10 +37,10 @@ from .oracles import (
     sympy_relation,
 )
 
-# the domain of the oracle's ring: a walk of the integer ring modulo the
-# domain's modulus (none over Z and Q) must find what the oracle finds in
-# that ring, the pieces carried over
-DOMAINS = [ZZ, QQ, GF2, ModularDomain(4)]
+# the modulus of the oracle's ring (0 for Z): a walk of the integer ring
+# modulo it must find what the oracle finds in that ring, the pieces
+# carried over
+DOMAINS = [0, 2, 4]
 
 RINGS = [
     product_tower((2,)),
@@ -107,14 +103,14 @@ def test_square_zero_modular_domain():
     assert list(_scan(r, {2: r.one()}, range(2), 2)) == [(1, 0)]
 
 
-@pytest.mark.parametrize("domain", [QQ, GF2, ModularDomain(4)], ids=str)
-def test_only_rings_over_z_are_searched(domain):
-    r, r_n = build_ring(hirzebruch(1)), build_ring(hirzebruch(1), domain)
+@pytest.mark.parametrize("mod", [2, 4], ids=mod_label)
+def test_only_rings_over_z_are_searched(mod):
+    r, r_n = build_ring(hirzebruch(1)), build_ring(hirzebruch(1), mod)
     for call in (lambda: iso_search(r_n, r_n, 1),
                  lambda: square_zero_elements(r_n, 2, 1)):
         with pytest.raises(DomainMismatchError):
             call()
-    if domain == GF2:  # one ring over Z, one over Z/2, either way round
+    if mod == 2:  # one ring over Z, one over Z/2, either way round
         for pair in ((r, r_n), (r_n, r)):
             with pytest.raises(DomainMismatchError):
                 iso_search(*pair, 1)
@@ -221,58 +217,58 @@ def test_iso_search_first_witness_is_lex_minimal():
 # -- scan parity against the per-vector oracle ---------------------------------
 
 
-def walk_parity(ring, pieces, values, domain=ZZ):
-    """The walk of the integer ``ring`` modulo the modulus of ``domain``
-    agrees with the oracle on the ring over ``domain``, the pieces carried
-    over; returns the hits."""
-    oracle = build_ring(ring.tower, domain)
+def walk_parity(ring, pieces, values, mod=0):
+    """The walk of the integer ``ring`` modulo ``mod`` (0 for none) agrees
+    with the oracle on the ring over Z/mod (over Z for 0), the pieces
+    carried over; returns the hits."""
+    oracle = build_ring(ring.tower, mod)
     carried = {t: oracle.from_terms(dict(p.items())) for t, p in pieces.items()}
     expected = brute_force_scan(oracle, carried, max(pieces, default=0), values)
-    got = list(_scan(ring, pieces, values, domain.modulus or 0))
-    assert got == expected, (domain, ring, pieces, values)
+    got = list(_scan(ring, pieces, values, mod))
+    assert got == expected, (mod, ring, pieces, values)
     return got
 
 
-def scan_parity(ring, pieces, bound, domain=ZZ):
-    return walk_parity(ring, pieces, range(-bound, bound + 1), domain)
+def scan_parity(ring, pieces, bound, mod=0):
+    return walk_parity(ring, pieces, range(-bound, bound + 1), mod)
 
 
-@pytest.mark.parametrize("domain", DOMAINS, ids=str)
+@pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
 @pytest.mark.parametrize("tower", RINGS, ids=lambda t: str(t.dims))
-def test_scan_matches_oracle_on_powers(tower, domain):
+def test_scan_matches_oracle_on_powers(tower, mod):
     ring = build_ring(tower)
     for k in (2, 3):
         for bound in (1, 2):
-            scan_parity(ring, {k: ring.one()}, bound, domain)
+            scan_parity(ring, {k: ring.one()}, bound, mod)
 
 
-@pytest.mark.parametrize("domain", DOMAINS, ids=str)
-def test_scan_matches_oracle_on_random_towers(domain, seed):
+@pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
+def test_scan_matches_oracle_on_random_towers(mod, seed):
     rng = random.Random(seed)
     for _ in range(12):
         ring = build_ring(random_tower(rng, max_height=3, max_dim=2))
         for k in (2, 3):
-            scan_parity(ring, {k: ring.one()}, 2, domain)
+            scan_parity(ring, {k: ring.one()}, 2, mod)
 
 
-@pytest.mark.parametrize("domain", DOMAINS, ids=str)
-def test_scan_bound_zero_is_empty(domain):
+@pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
+def test_scan_bound_zero_is_empty(mod):
     ring = build_ring(bott_tower_3(1, -2, 3))
-    assert scan_parity(ring, {2: ring.one()}, 0, domain) == []
+    assert scan_parity(ring, {2: ring.one()}, 0, mod) == []
 
 
-@pytest.mark.parametrize("domain", DOMAINS, ids=str)
-def test_scan_vanishing_expression_hits_every_vector(domain):
+@pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
+def test_scan_vanishing_expression_hits_every_vector(mod):
     ring = build_ring(hirzebruch(1))
     every = [v for v in iproduct(range(-2, 3), repeat=2) if any(v)]
-    assert scan_parity(ring, {}, 2, domain) == every
-    assert scan_parity(ring, {t: ring.zero() for t in range(3)}, 2, domain) == every
+    assert scan_parity(ring, {}, 2, mod) == every
+    assert scan_parity(ring, {t: ring.zero() for t in range(3)}, 2, mod) == every
     # h^3 lands above the top degree, so it is zero for every h
-    assert scan_parity(ring, {3: ring.one()}, 2, domain) == every
+    assert scan_parity(ring, {3: ring.one()}, 2, mod) == every
 
 
-@pytest.mark.parametrize("domain", DOMAINS, ids=str)
-def test_scan_matches_oracle_with_gaps_in_t(domain):
+@pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
+def test_scan_matches_oracle_with_gaps_in_t(mod):
     ring = build_ring(bott_tower_3(1, -2, 3))
     y1, y2, y3 = ring.gens()
     cases = [
@@ -283,28 +279,28 @@ def test_scan_matches_oracle_with_gaps_in_t(domain):
         {4: ring.one(), 1: y1 * y2},
     ]
     for pieces in cases:
-        scan_parity(ring, pieces, 2, domain)
+        scan_parity(ring, pieces, 2, mod)
     # a nonzero constant polynomial, also behind a zero piece at the
     # highest key, rules out every vector
     for pieces in ({0: y1 * y3}, {0: y1 * y3, 3: ring.zero()}):
-        assert scan_parity(ring, pieces, 2, domain) == []
+        assert scan_parity(ring, pieces, 2, mod) == []
 
 
-@pytest.mark.parametrize("domain", DOMAINS, ids=str)
-def test_scan_rejects_at_the_first_coordinate(domain):
+@pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
+def test_scan_rejects_at_the_first_coordinate(mod):
     # h y2 y3 = b1 y1 y2 y3 in (CP^1)^3: the only polynomial, b1 - 1,
     # involves b1 alone and is settled by the first coordinate
     ring = build_ring(product_tower((1, 1, 1)))
     y1, y2, y3 = ring.gens()
-    hits = scan_parity(ring, {1: y2 * y3, 0: -(y1 * y2 * y3)}, 2, domain)
+    hits = scan_parity(ring, {1: y2 * y3, 0: -(y1 * y2 * y3)}, 2, mod)
     firsts = {v[0] for v in hits}
     assert firsts and firsts <= {-1, 1}
     # every completion b2, b3 of an accepted b1 is a hit
     assert len(hits) == 25 * len(firsts)
 
 
-@pytest.mark.parametrize("domain", [ZZ, GF2], ids=str)
-def test_scan_matches_oracle_on_iso_search_stage_splits(domain):
+@pytest.mark.parametrize("mod", [0, 2], ids=mod_label)
+def test_scan_matches_oracle_on_iso_search_stage_splits(mod):
     # replay the stage-by-stage search on prefixes of up to four hits per
     # stage, plus one zero row per stage, which kills the lower pieces of
     # the next stage's split
@@ -325,7 +321,7 @@ def test_scan_matches_oracle_on_iso_search_stage_splits(domain):
             extended = []
             for rows in prefixes:
                 pieces = _stage_pieces(source, target, rows, i)
-                hits = scan_parity(target, pieces, bound, domain)
+                hits = scan_parity(target, pieces, bound, mod)
                 extended += [rows + [row] for row in hits[:4]]
             if i < m:
                 extended.append(prefixes[0] + [(0,) * m])
@@ -543,15 +539,15 @@ GEN_DUAL = GEN.replace_stage(3, dualize_stage(GEN.stages[-1]))
 WALK = bott_tower([[], [1], [-1, 2], [0, 1, -2]])
 
 
-@pytest.mark.parametrize("domain", [ZZ, QQ, GF2, ModularDomain(3)], ids=str)
-def test_stage_pieces_are_the_relation_split(domain, rng):
+@pytest.mark.parametrize("mod", [0, 2, 3], ids=mod_label)
+def test_stage_pieces_are_the_relation_split(mod, rng):
     # the c_q of the stage table give the pieces that splitting the
     # relation's terms by the exponent of y_i gives; a zero piece stands
     # where the split has no key
     towers = [GEN] + CENSUS_3 + [
         random_tower(rng, max_height=4, max_dim=3) for _ in range(30)]
     for tower in towers:
-        ring = build_ring(tower, domain)
+        ring = build_ring(tower, mod)
         m = ring.height
         for i in range(1, m + 1):
             rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
@@ -560,8 +556,8 @@ def test_stage_pieces_are_the_relation_split(domain, rng):
             assert sorted(got) == list(range(1, ring.dims[i - 1] + 2))
             assert {t: p for t, p in got.items() if not p.is_zero()} == {
                 t: p for t, p in expected.items() if not p.is_zero()
-            }, (tower, domain, rows, i)
-    if domain == ZZ:
+            }, (tower, mod, rows, i)
+    if mod == 0:
         ring = build_ring(GEN)
         pieces = _stage_pieces(ring, ring, [(1, 0, 0)], 2)
         assert pieces[1].is_zero() and 1 not in relation_split(ring, ring, [(1, 0, 0)], 2)
@@ -696,8 +692,12 @@ def test_square_zero_count_mod_matches_oracle(modulus):
 
 @pytest.mark.parametrize("modulus", [0, 1, -3, True, False, 2.0])
 def test_square_zero_count_mod_rejects_bad_modulus(modulus):
-    with pytest.raises(ModulusError):
-        _square_zero_count_mod(hirzebruch(1), modulus)
+    calls = [_square_zero_count_mod]
+    if modulus is False or modulus != 0:  # a ring takes 0, for Z
+        calls.append(build_ring)
+    for call in calls:
+        with pytest.raises(ModulusError):
+            call(hirzebruch(1), modulus)
 
 
 def test_residue_scan_of_integer_ring_matches_modular_ring(seed):
@@ -713,23 +713,22 @@ def test_residue_scan_of_integer_ring_matches_modular_ring(seed):
     for tower, k in cases:
         ring = build_ring(tower)
         for n in (2, 3, 4):
-            walk_parity(ring, {k: ring.one()}, range(n), ModularDomain(n))
+            walk_parity(ring, {k: ring.one()}, range(n), n)
 
 
 @st.composite
 def scan_cases(draw):
     """A random integer ring of height 1 to 4 with fibers <= 2, the pieces
     {k: 1} with an optional lower piece that keeps the expression
-    homogeneous, an oracle domain (the walk's modulus is its modulus), and
-    a bounded or (modulo n) residue box."""
+    homogeneous, the modulus of the walk and of the oracle's ring (0 for
+    Z), and a bounded or (modulo n) residue box."""
     stages = []
     for i in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, 2))
         stages.append((n, [[draw(st.integers(-2, 2)) for _ in range(i)]
                            for _ in range(n)]))
     ring = build_ring(validate_tower(stages))
-    domain = draw(st.sampled_from(
-        [ZZ, QQ, GF2, ModularDomain(3), ModularDomain(4)]))
+    mod = draw(st.sampled_from([0, 2, 3, 4]))
     k = draw(st.integers(2, 3))
     pieces = {k: ring.one()}
     if draw(st.booleans()):
@@ -738,12 +737,12 @@ def scan_cases(draw):
         if basis:
             pieces[t] = ring.from_terms(
                 {e: draw(st.integers(-2, 2)) for e in basis})
-    if domain.modulus is not None and draw(st.booleans()):
-        values = range(domain.modulus)
+    if mod and draw(st.booleans()):
+        values = range(mod)
     else:
         bound = draw(st.integers(0, 1 if ring.height == 4 else 2))
         values = range(-bound, bound + 1)
-    return ring, pieces, values, domain
+    return ring, pieces, values, mod
 
 
 @settings(max_examples=120, deadline=None)
@@ -781,7 +780,7 @@ def search_pairs(draw):
 @given(search_pairs())
 def test_iso_search_witnesses_verify_property(case):
     t, tp, kind, bound = case
-    ring, ring_prime = build_ring(t, ZZ), build_ring(tp, ZZ)
+    ring, ring_prime = build_ring(t), build_ring(tp)
     witness = iso_search(ring, ring_prime, bound)
     if kind == "same" and bound >= 1:
         assert witness is not None  # the identity is in the box
@@ -818,22 +817,22 @@ def shaped_pieces(ring):
     ]
 
 
-@pytest.mark.parametrize("domain", [ZZ, QQ, ModularDomain(4)], ids=str)
+@pytest.mark.parametrize("mod", [0, 4], ids=mod_label)
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
-def test_scan_plan_compiled_once_per_shape(domain, order):
+def test_scan_plan_compiled_once_per_shape(mod, order):
     ring = build_ring(bott_tower_3(1, -2, 3))
     values = range(-2, 3)
     plan = None
     hits = []
     for pieces in shaped_pieces(ring)[::order]:
-        hits.append(walk_parity(ring, pieces, values, domain))
+        hits.append(walk_parity(ring, pieces, values, mod))
         assert len(ring._scan_plans) == 1
         (current,) = ring._scan_plans.values()
         assert plan is None or current is plan
         plan = current
     assert any(hits)
     outside = hits[0 if order == 1 else -1]
-    assert bool(outside) == (domain.modulus == 4), (domain, outside)
+    assert bool(outside) == (mod == 4), (mod, outside)
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["z-first", "residues-first"])
@@ -841,13 +840,12 @@ def test_one_plan_serves_integer_and_residue_walks(order):
     # a plan holds integer weights, so a bounded scan over Z and residue
     # scans mod 2, 3, 4 and 8 of one ring share it, in either order
     tower = bott_tower_3(1, -2, 3)
-    ring = build_ring(tower, ZZ)
-    walks = [(ZZ, range(-2, 3))] + [
-        (ModularDomain(n), range(n)) for n in (2, 3, 4, 8)]
+    ring = build_ring(tower)
+    walks = [(0, range(-2, 3))] + [(n, range(n)) for n in (2, 3, 4, 8)]
     for shaped in ([{2: ring.one()}], shaped_pieces(ring)):
-        for domain, values in walks[::order]:
+        for mod, values in walks[::order]:
             for pieces in shaped:
-                walk_parity(ring, pieces, values, domain)
+                walk_parity(ring, pieces, values, mod)
     assert len(ring._scan_plans) == 2
 
 
