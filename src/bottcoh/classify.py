@@ -212,10 +212,15 @@ def classify_2stage(tower, tower_prime) -> Verdict:
     if (n1, n2) == (n2p, n1p):
         w_t = is_product_cohomology(t)
         w_tp = is_product_cohomology(tp)
-        if isinstance(w_t, ProductWitness) and isinstance(w_tp, ProductWitness):
+        product = isinstance(w_t, ProductWitness), isinstance(w_tp, ProductWitness)
+        if all(product):
             return Verdict(DIFFEOMORPHIC, witness=(w_t, w_tp))
-        # a nonzero degree-2 class with vanishing max(n1, n2)-th power exists
-        # only in the tower fibered over the smaller projective space
+        if product[n1 < n2]:
+            # the product over the larger base has such a class too (its
+            # fiber generator), so only the product flags tell the two apart
+            return Verdict(DISTINCT, invariant=("product_cohomology", *product))
+        # otherwise a nonzero degree-2 class with vanishing max(n1, n2)-th
+        # power exists only in the tower fibered over the smaller space
         big = max(n1, n2)
         return Verdict(
             DISTINCT,
@@ -243,10 +248,16 @@ def _bott3_params(tower: TowerSpec):
     return a, b, c
 
 
+def _p1_coefficient(a: int, b: int, c: int) -> int:
+    """The coefficient c(2b - ac) of y_1 y_2 in p_1 of the (a, b, c) Bott
+    3-stage."""
+    return c * (2 * b - a * c)
+
+
 def q_product_b3(a: int, b: int, c: int) -> bool:
     """Whether the (a, b, c) Bott 3-stage has the rational cohomology of
     (CP^1)^3; equivalently c(2b - ac) = 0, equivalently p_1 vanishes."""
-    return c * (2 * b - a * c) == 0
+    return _p1_coefficient(a, b, c) == 0
 
 
 def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
@@ -286,35 +297,26 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     _check_bound(bound)
     t = validate_tower(tower)
     tp = validate_tower(tower_prime)
-    a, b, c = _bott3_params(t)
-    ap, bp, cp = _bott3_params(tp)
-
-    p1 = abs(c * (2 * b - a * c))
-    p1p = abs(cp * (2 * bp - ap * cp))
+    p1 = abs(_p1_coefficient(*_bott3_params(t)))
+    p1p = abs(_p1_coefficient(*_bott3_params(tp)))
     if p1 != p1p:
         return Verdict(DISTINCT, invariant=("p1_content", p1, p1p), bound=bound)
     ring, ring_p = build_ring(t), build_ring(tp)
-    for modulus in (2, 4):
+
+    def count_differs(modulus):
         count = _residue_square_zero_count(ring, modulus)
         count_p = _residue_square_zero_count(ring_p, modulus)
         if count != count_p:
-            return Verdict(
-                DISTINCT,
-                invariant=(f"square_zero_count_mod{modulus}", count, count_p),
-                bound=bound,
-            )
+            return Verdict(DISTINCT, bound=bound, invariant=(
+                f"square_zero_count_mod{modulus}", count, count_p))
+        return None
 
+    verdict = count_differs(2) or count_differs(4)
+    if verdict is not None:
+        return verdict
     witness = iso_search(ring, ring_p, bound)
     if witness is not None:
         return Verdict(DIFFEOMORPHIC, witness=witness, bound=bound)
     # the Z/8 count runs only once the search has failed: most pairs that
     # reach the search are isomorphic, and they would pay for it
-    count = _residue_square_zero_count(ring, 8)
-    count_p = _residue_square_zero_count(ring_p, 8)
-    if count != count_p:
-        return Verdict(
-            DISTINCT,
-            invariant=("square_zero_count_mod8", count, count_p),
-            bound=bound,
-        )
-    return Verdict(UNKNOWN, bound=bound)
+    return count_differs(8) or Verdict(UNKNOWN, bound=bound)

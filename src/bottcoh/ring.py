@@ -251,7 +251,7 @@ class BottRing:
 
     def gen(self, i: int) -> "CohomologyClass":
         """The degree-2 generator y_i, 1-based."""
-        if not 1 <= i <= self.height:
+        if isinstance(i, bool) or not 1 <= i <= self.height:
             raise IndexError(f"generator index {i} out of range 1..{self.height}")
         e = [0] * self.height
         e[i - 1] = 1
@@ -277,13 +277,14 @@ class BottRing:
     def from_terms(self, terms) -> "CohomologyClass":
         """Normal form of a formal polynomial given as {exponents: coefficient}.
 
-        Exponents may exceed the componentwise bounds; coefficients are
-        ints, reduced mod ``mod`` over Z/mod.
+        Exponents are nonnegative ints (not bools) and may exceed the
+        componentwise bounds; coefficients are ints, reduced mod ``mod``
+        over Z/mod.
         """
         raw = {}
         for e, c in dict(terms).items():
-            e = tuple(int(x) for x in e)
-            if len(e) != self.height or any(x < 0 for x in e):
+            e = tuple(e)
+            if len(e) != self.height or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {e}")
             c = self._int(c)
             if c != 0:

@@ -30,22 +30,24 @@ the whole prefix at once (early rejection).  In a Bott tower the
 coefficient of y_l y_k in h^2 involves b_k and lower coordinates only, so
 most prefixes die well before the last coordinate.
 
-The isomorphism search fixes the rows of a matrix depth-first; the DFS is
-a recursive generator, taken at its first item.  A row's candidates are
-lazily walked streams, one per stage image: row i solves the stage
-relation f_i(x) = sum_q c_q x^(n+1-q), the Chern classes c_q of the stage
-table mapped by the rows fixed so far, depressed by z = (n+1) x + c_1 so
-that the term in z^n vanishes.  For a CP^1 stage that is z^2 = c_1^2,
-the squares of row 1 with a constant, so every row of a Bott-tower search
-walks the one {2: 1} plan of its target ring.  The c_q read only the rows
-of the generators they involve, so DFS nodes whose prefixes agree on those
-rows pull from one walk, which advances only as far as some node takes
-it.  It searches row 1 up to sign: every relation is homogeneous and the
-box is symmetric, so -M is a witness whenever M is, and only rows 1 whose
-first nonzero entry is negative are tried.  Its unimodularity prune
-carries a column transform down the tree that clears the rows fixed so
-far, so each candidate row costs the gcd of its m - depth free entries
-instead of a reduction of the whole prefix.
+The isomorphism search fixes the rows of a matrix depth-first; the DFS is a
+recursive generator, taken at its first item.  A row's candidates are
+lazily walked streams, one per stage image: row i solves the stage relation
+f_i(x) = sum_q c_q x^(n+1-q), the Chern classes c_q of the stage table
+mapped by the rows fixed so far, depressed by z = (n+1) x + c_1 so that the
+term in z^n vanishes.  The search reads each stage's n + 1, c_1 and c_q
+from one record derived when it starts, and builds each depressed relation
+from it in one pass (``_stage_relation``).  For a CP^1 stage that is
+z^2 = c_1^2, the squares of row 1 with a constant, so every row of a
+Bott-tower search walks the one {2: 1} plan of its target ring.  The c_q
+read only the rows of the generators they involve, so DFS nodes whose
+prefixes agree on those rows pull from one walk, which advances only as
+far as some node takes it.  It searches row 1 up to sign: every relation
+is homogeneous and the box is symmetric, so -M is a witness whenever M is,
+and only rows 1 whose first nonzero entry is negative are tried.  Its
+unimodularity prune carries a column transform down the tree that clears
+the rows fixed so far, so each candidate row costs the gcd of its
+m - depth free entries instead of a reduction of the whole prefix.
 
 Results are deterministic: candidates are enumerated in lexicographic order
 and the first complete witness is returned, which makes it the
@@ -186,8 +188,8 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     the caller names it, and a walk mod n gives what the same scan of the
     ring over Z/n would give.  A shifted walk is over Z (``mod`` 0), where
     the isomorphism search uses it for its depressed stage relations (see
-    :func:`_depressed`); z_j is increasing in b_j, so the order is kept.
-    Pieces above the top degree add zero.
+    :func:`_stage_relation`); z_j is increasing in b_j, so the order is
+    kept.  Pieces above the top degree add zero.
 
     The scan structure is compiled once per ring and shape of the pieces
     of exponent t >= 1 (see :func:`_compile`) and kept on the ring,
@@ -301,69 +303,63 @@ def square_zero_elements(ring: BottRing, k: int, bound: int) -> list[CohomologyC
     return [ring.linear_class(v) for v in vectors]
 
 
-def _stage_reads(ring: BottRing, i: int) -> tuple:
-    """The generators y_j (0-based j < i - 1) that the c_q of stage i
-    involve: the earlier rows of a matrix that row i's pieces depend on."""
-    return tuple(sorted({j for cq in ring.chern[i - 1] for g in cq
-                         for j, e in enumerate(g) if e}))
+def _stage_record(ring: BottRing, i: int) -> tuple:
+    """The record of stage i that :func:`_stage_relation` reads:
+    ``(n + 1, c1, reads, higher)``, c1 the pairs (j, a_j) of
+    c_1 = sum_j a_j y_(j+1), reads the generators (0-based j < i - 1) that
+    the c_q involve, which are the earlier rows of a matrix that row i's
+    relation depends on, and higher the c_q for q >= 2, each times
+    (n + 1)^q."""
+    chern = ring.chern[i - 1]
+    top = ring.dims[i - 1] + 1
+    reads = tuple(sorted({j for cq in chern for g in cq for j, e in enumerate(g) if e}))
+    higher = tuple({g: c * top**q for g, c in cq.items()}
+                   for q, cq in enumerate(chern[1:], start=2))
+    return top, tuple((g.index(1), a) for g, a in chern[0].items()), reads, higher
 
 
-def _stage_pieces(source: BottRing, target: BottRing, rows, i: int) -> dict:
-    """Scan pieces for row i of an iso_search matrix whose earlier rows are
-    ``rows``: f_i = sum_q c_q y_i^(n_i+1-q), so piece n_i+1-q is the image
-    of c_q, read from the stage table (c_0 = 1).  The c_q only involve
-    generators < i, whose rows are fixed, and only the rows of the
-    generators they involve are mapped; a zero c_q gives a zero piece.
-    c_1 = sum_j a_j y_j is linear, so its image is the linear class of
-    sum_j a_j rows[j]."""
-    chern = source.chern[i - 1]
-    top = source.dims[i - 1] + 1
-    lift = [0] * target.height
-    for g, a in chern[0].items():
-        for k, v in enumerate(rows[g.index(1)]):
-            lift[k] += a * v
-    pieces = {top: target.one(), top - 1: target.linear_class(lift)}
-    higher = chern[1:]  # c_2.., mapped through the images of the rows they read
-    if higher:
-        images = {j: target.linear_class(rows[j]) for j in _stage_reads(source, i)}
-        for q, cq in enumerate(higher, start=2):
-            pieces[top - q] = image_of_terms(target, images, cq)
-    return pieces
+def _stage_relation(target: BottRing, stage: tuple, rows):
+    """Depressed pieces and shift of the scan of row i of an iso_search
+    matrix whose earlier rows are ``rows``, ``stage`` the record of source
+    stage i (:func:`_stage_record`).
 
-
-def _depressed(ring: BottRing, pieces: dict):
-    """Depressed pieces and shift of the scan of a stage relation.
-
-    ``pieces`` are those of :func:`_stage_pieces`, the relation
-    f(x) = sum_q c_q x^(n+1-q) with c_0 = 1 and c_1 of degree 1.  The
-    substitution z = (n+1) x + c_1 gives (n+1)^(n+1) f = sum_r D_r z^r with
+    Row i solves f(x) = sum_q c_q x^(n+1-q), c_0 = 1, each c_q mapped
+    through the rows of the generators it reads; the image of c_1 is the
+    linear class of l = sum_j a_j rows[j].  The substitution
+    z = (n+1) x + c_1 gives (n+1)^(n+1) f = sum_r D_r z^r with
     D_(n+1) = 1, D_n = 0 and
 
         D_r = sum_q (n+1)^q C(n+1-q, r) (-c_1)^(n+1-q-r) c_q,
 
-    computed as the Taylor shift by -c_1 of the coefficients (n+1)^q c_q.
-    The ring is free over Z, so f vanishes exactly where the depressed sum
-    does.  Returns the pieces {r: D_r} and the shift (n + 1, l) of
-    :func:`_scan`, l the coefficients of c_1, so that z_j = (n+1) b_j + l_j.
-    For a CP^1 stage the depressed relation is z^2 = c_1^2: the pieces
-    {2: 1, 0: -c_1^2}, whose plan is that of {2: 1}.
+    computed as the Taylor shift by -c_1 of the coefficients (n+1)^q c_q,
+    the images of the record's scaled c_q.  The ring is free over Z, so f
+    vanishes exactly where the depressed sum does.  Returns the pieces
+    {r: D_r} and the shift (n + 1, l) of :func:`_scan`, so that
+    z_j = (n+1) b_j + l_j.  For a CP^1 stage the depressed relation is
+    z^2 = c_1^2: the pieces {2: 1, 0: -c_1^2}, whose plan is that of
+    {2: 1}.
     """
-    top = max(pieces)  # n + 1
-    c1 = pieces[top - 1]._c
-    lift = [0] * ring.height
-    for e, c in c1.items():
-        lift[e.index(1)] = c
+    top, c1, reads, higher = stage
+    lift = [0] * target.height
+    for j, c in c1:
+        for k, v in enumerate(rows[j]):
+            lift[k] += c * v
+    image = target.linear_class(lift)._c
+    shift = {e: -c for e, c in image.items()}
     # a[t] = (n+1)^(n+1-t) c_(n+1-t), the coefficients in w = (n+1) x; a[top]
-    # is 1 and never changes, so it is not copied
-    a = [{e: c * top ** (top - t) for e, c in pieces[t].items()} if t in pieces
-         else {} for t in range(top)] + [pieces[top]._c]
-    shift = {e: -c for e, c in c1.items()}
+    # is 1 and never changes
+    a = [{} for _ in range(top - 1)] + [{e: top * c for e, c in image.items()},
+                                        target.one()._c]
+    if higher:
+        images = {j: target.linear_class(rows[j]) for j in reads}
+        for q, cq in enumerate(higher, start=2):
+            a[top - q] = image_of_terms(target, images, cq)._c
     for i in range(top):
-        ring._raw_add(a[top - 1], shift)  # shift * a[top]
+        target._raw_add(a[top - 1], shift)  # shift * a[top]
         for j in range(top - 2, i - 1, -1):
             if a[j + 1]:
-                ring._raw_add(a[j], ring._raw_mul(shift, a[j + 1]))
-    return ({t: CohomologyClass(ring, terms) for t, terms in enumerate(a) if terms},
+                target._raw_add(a[j], target._raw_mul(shift, a[j + 1]))
+    return ({t: CohomologyClass(target, terms) for t, terms in enumerate(a) if terms},
             (top, tuple(lift)))
 
 
@@ -376,23 +372,26 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     generator in the unprimed basis.  Matrices are tried in lexicographic
     order (row 1 varies slowest); rows are filtered stage by stage, which is
     possible because the i-th relation only involves the first i generators
-    (its pieces are the c_q of stage i, see :func:`_stage_pieces`).  The DFS
-    is a generator of the stage-verified matrices in this order, taken at
-    its first item.
+    (its pieces are the c_q of stage i).  When the search starts it derives
+    one record per source stage (:func:`_stage_record`): n + 1, c_1 as
+    (generator, coefficient) pairs, the generators the c_q read and the
+    c_q for q >= 2.  The DFS is a generator of the stage-verified matrices
+    in this order, taken at its first item.
 
-    Every row walks its stage relation depressed by z = (n+1) x + c_1
-    (:func:`_depressed`), one rule for every fiber dimension: the scan runs
-    over z_j = (n+1) b_j + l_j, l the coefficients of the image of c_1, and
-    yields b.  The ring is free over Z, so no solution is lost, and z is
-    increasing in b, so the order and the first witness are kept.  A CP^1
-    row is z^2 = c_1^2, whose plan is the {2: 1} plan of row 1: a search on
-    a Bott tower compiles one plan on its target ring.
+    Every row walks its stage relation depressed by z = (n+1) x + c_1, built
+    in one pass from the record and the earlier rows
+    (:func:`_stage_relation`), one rule for every fiber dimension: the scan
+    runs over z_j = (n+1) b_j + l_j, l the coefficients of the image of
+    c_1, and yields b.  The ring is free over Z, so no solution is lost,
+    and z is increasing in b, so the order and the first witness are kept.
+    A CP^1 row is z^2 = c_1^2, whose plan is the {2: 1} plan of row 1: a
+    search on a Bott tower compiles one plan on its target ring.
 
     Row i's candidates are lazily walked streams, one per stage image: the
     pieces depend only on the earlier rows that the c_q of stage i read
-    (:func:`_stage_reads`), so within one call every DFS node with the same
-    such rows gets an independent cursor over one shared, buffered walk,
-    and no walk goes past the last candidate some node has taken.
+    (the reads of the record), so within one call every DFS node with the
+    same such rows gets an independent cursor over one shared, buffered
+    walk, and no walk goes past the last candidate some node has taken.
 
     Row 1 is searched up to sign.  Each relation is homogeneous, so -M is a
     witness whenever M is, and the box is symmetric; of M and -M the one
@@ -416,16 +415,16 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     if sorted(source.dims) != sorted(target.dims):
         return None
     m = source.height
-    reads = [_stage_reads(source, i) for i in range(1, m + 1)]
+    stages = [_stage_record(source, i) for i in range(1, m + 1)]
     streams: dict = {}  # stage image -> its candidate rows, walked once
 
     def candidates(rows):
         depth = len(rows)
-        key = (depth,) + tuple(rows[j] for j in reads[depth])
+        # a stage image is fixed by the rows its c_q read, the record's reads
+        key = (depth,) + tuple(rows[j] for j in stages[depth][2])
         stream = streams.get(key)
         if stream is None:
-            pieces, shift = _depressed(
-                target, _stage_pieces(source, target, rows, depth + 1))
+            pieces, shift = _stage_relation(target, stages[depth], rows)
             walk = _scan(target, pieces, values, 0, shift)
             stream = streams[key] = tee(walk, 1)[0]
         return copy(stream)  # an independent cursor over the shared walk

@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 
 from bottcoh import (
@@ -17,6 +19,7 @@ from bottcoh import (
     iso_search,
     product_tower,
     q_product_b3,
+    square_zero_elements,
     validate_tower,
     verify_map,
     verify_pontrjagin_preservation,
@@ -187,6 +190,42 @@ def test_classify_2stage_swapped_dims_nonproduct_distinct():
     v = classify_2stage(t, tp)
     assert v.kind == DISTINCT
     assert v.invariant[1] != v.invariant[2]
+    # only the tower over the larger base is a product: y2^2 = 0 in
+    # CP^2 x CP^1, so a square-zero class exists on both sides and only the
+    # product flags differ
+    p21 = product_tower((2, 1))
+    v = classify_2stage(t, p21)
+    assert v.kind == DISTINCT
+    assert v.invariant == ("product_cohomology", False, True)
+    assert classify_2stage(p21, t).invariant == ("product_cohomology", True, False)
+
+
+def test_classify_2stage_power_zero_invariant_matches_square_zero_search():
+    # every exists_degree2_class_with_power_k_zero value says whether the
+    # bounded square-zero search finds such a class in that tower's ring
+    towers = [
+        validate_tower([(n1, []), (n2, [[u] for u in roots])])
+        for n1, n2 in ((1, 2), (2, 1), (1, 3), (3, 1))
+        for roots in iproduct(range(-2, 3), repeat=n2)
+    ]
+    found = {}
+
+    def has_class(tower, k):
+        if (tower, k) not in found:
+            found[tower, k] = bool(square_zero_elements(build_ring(tower), k, 4))
+        return found[tower, k]
+
+    checked = 0
+    for t in towers:
+        for tp in towers:
+            if t.dims != tuple(reversed(tp.dims)):
+                continue
+            v = classify_2stage(t, tp)
+            if v.invariant and v.invariant[0].startswith("exists_degree2_class"):
+                k = max(t.dims)
+                assert v.invariant == (v.invariant[0], has_class(t, k), has_class(tp, k)), (t, tp)
+                checked += 1
+    assert checked > 1000, checked
 
 
 def test_classify_2stage_rank_mismatch():
@@ -327,8 +366,19 @@ def built_rings(monkeypatch):
     return mods
 
 
-def test_classify_3stage_builds_one_integer_ring_per_tower(built_rings, rng):
-    # one pair per way the call can end, then a seeded census-3 sample
+def test_classify_3stage_builds_one_integer_ring_per_tower(built_rings, rng, monkeypatch):
+    # one pair per way the call can end, then a seeded census-3 sample; the
+    # residue counts run in battery order, and Z/8 only after a failed search
+    import bottcoh.classify
+
+    moduli = []
+    real_count = bottcoh.classify._residue_square_zero_count
+
+    def recording_count(ring, modulus):
+        moduli.append(modulus)
+        return real_count(ring, modulus)
+
+    monkeypatch.setattr(bottcoh.classify, "_residue_square_zero_count", recording_count)
     pinned = [
         ((-3, -3, -3), (0, 0, 1), 4),  # p1 content
         ((-3, -3, 0), (0, 0, 1), 4),  # Z/2 count
@@ -339,12 +389,14 @@ def test_classify_3stage_builds_one_integer_ring_per_tower(built_rings, rng):
     ]
     census = [(a, b, c) for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)]
     sample = [(rng.choice(census), rng.choice(census), 4) for _ in range(150)]
-    kinds = []
+    kinds, counted = [], []
     for p, q, bound in pinned + sample:
         built_rings.clear()
+        moduli.clear()
         t, tp = bott_tower_3(*p), bott_tower_3(*q)
         v = classify_3stage(t, tp) if bound is None else classify_3stage(t, tp, bound=bound)
         kinds.append(v.invariant[0] if v.invariant else v.kind)
+        counted.append(list(moduli))
         if kinds[-1] == "p1_content":
             assert built_rings == [], (p, q)
         else:
@@ -352,4 +404,7 @@ def test_classify_3stage_builds_one_integer_ring_per_tower(built_rings, rng):
     assert kinds[:len(pinned)] == [
         "p1_content", "square_zero_count_mod2", "square_zero_count_mod4",
         DIFFEOMORPHIC, "square_zero_count_mod8", UNKNOWN,
+    ]
+    assert counted[:len(pinned)] == [
+        [], [2, 2], [2, 2, 4, 4], [2, 2, 4, 4], [2, 2, 4, 4, 8, 8], [2, 2, 4, 4, 8, 8],
     ]

@@ -320,6 +320,12 @@ def test_rational_and_modular_domains():
                 with pytest.raises(DomainMismatchError):
                     call(bad)
         assert r.one() == 1 and r.one() != Fraction(1)
+        # an exponent is an int, never truncated, parsed or read as a bool
+        for e in ((1.7, 0), ("1", 0), (True, 0), (1, False), (1.0, 0)):
+            with pytest.raises(ValueError, match="bad exponent vector"):
+                r.from_terms({e: 1})
+        with pytest.raises(IndexError):
+            r.gen(True)
     r2 = build_ring(hirzebruch(3), 2)
     z1, z2 = r2.gens()
     assert z2 * z2 == z1 * z2  # -3 = 1 mod 2

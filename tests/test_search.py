@@ -25,7 +25,7 @@ from bottcoh import classify
 from bottcoh.classify import _square_zero_count_mod
 from bottcoh.linalg import clear_row, det_int, minors_gcd
 from bottcoh.ring import image_of_terms
-from bottcoh.search import _depressed, _scan, _stage_pieces
+from bottcoh.search import _scan, _stage_record, _stage_relation
 
 from .conftest import mod_label, random_tower
 from .oracles import (
@@ -320,7 +320,7 @@ def test_scan_matches_oracle_on_iso_search_stage_splits(mod):
         for i in range(1, m + 1):
             extended = []
             for rows in prefixes:
-                pieces = _stage_pieces(source, target, rows, i)
+                pieces = relation_split(source, target, rows, i)
                 hits = scan_parity(target, pieces, bound, mod)
                 extended += [rows + [row] for row in hits[:4]]
             if i < m:
@@ -485,7 +485,7 @@ def dfs_candidates(source, target, bound):
     values = range(-bound, bound + 1)
 
     def tried(rows):
-        pieces = _stage_pieces(source, target, rows, len(rows) + 1)
+        pieces = relation_split(source, target, rows, len(rows) + 1)
         rows_next = list(_scan(target, pieces, values))
         if not rows:
             rows_next = [row for row in rows_next if next(v for v in row if v) < 0]
@@ -539,28 +539,30 @@ GEN_DUAL = GEN.replace_stage(3, dualize_stage(GEN.stages[-1]))
 WALK = bott_tower([[], [1], [-1, 2], [0, 1, -2]])
 
 
-@pytest.mark.parametrize("mod", [0, 2, 3], ids=mod_label)
-def test_stage_pieces_are_the_relation_split(mod, rng):
-    # the c_q of the stage table give the pieces that splitting the
-    # relation's terms by the exponent of y_i gives; a zero piece stands
-    # where the split has no key
+def test_stage_relation_is_the_relation_split(rng):
+    # the depressed relation built from the stage record is the relation's
+    # terms split by the exponent t of y_i, after z = s h + L: for random
+    # earlier rows and degree-2 classes h,
+    # sum_r D_r (s h + L)^r == s^s sum_t split_t h^t, with L the image of c_1
     towers = [GEN] + CENSUS_3 + [
         random_tower(rng, max_height=4, max_dim=3) for _ in range(30)]
     for tower in towers:
-        ring = build_ring(tower, mod)
+        ring = build_ring(tower)
         m = ring.height
         for i in range(1, m + 1):
+            n = ring.dims[i - 1]
             rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
-            got = _stage_pieces(ring, ring, rows, i)
-            expected = relation_split(ring, ring, rows, i)
-            assert sorted(got) == list(range(1, ring.dims[i - 1] + 2))
-            assert {t: p for t, p in got.items() if not p.is_zero()} == {
-                t: p for t, p in expected.items() if not p.is_zero()
-            }, (tower, mod, rows, i)
-    if mod == 0:
-        ring = build_ring(GEN)
-        pieces = _stage_pieces(ring, ring, [(1, 0, 0)], 2)
-        assert pieces[1].is_zero() and 1 not in relation_split(ring, ring, [(1, 0, 0)], 2)
+            depressed, (s, lift) = _stage_relation(ring, _stage_record(ring, i), rows)
+            split = relation_split(ring, ring, rows, i)
+            assert s == n + 1 and depressed[s] == ring.one() and n not in depressed
+            lin = ring.linear_class(lift)
+            assert lin == split.get(n, ring.zero()), (tower, rows, i)
+            for _ in range(3):
+                h = ring.linear_class([rng.randint(-3, 3) for _ in range(m)])
+                z = s * h + lin
+                lhs = sum((d * z**r for r, d in depressed.items()), ring.zero())
+                rhs = sum((p * h**t for t, p in split.items()), ring.zero())
+                assert lhs == s**s * rhs, (tower, rows, i, h)
 
 
 # stages whose c_1 vanishes: y2 (y2 + y1)(y2 - y1), and
@@ -596,8 +598,8 @@ def test_depressed_stage_relation_is_the_scaled_relation(rng):
         identity = [tuple(int(j == k) for k in range(m)) for j in range(m)]
         for i in range(2, m + 1):
             n = ring.dims[i - 1]
-            depressed, (scale, lift) = _depressed(
-                ring, _stage_pieces(ring, ring, identity, i))
+            depressed, (scale, lift) = _stage_relation(
+                ring, _stage_record(ring, i), identity)
             assert scale == n + 1 and depressed[n + 1] == ring.one()
             assert n not in depressed
             x = ring.linear_class([rng.randint(-3, 3) for _ in range(m)])
@@ -607,9 +609,9 @@ def test_depressed_stage_relation_is_the_scaled_relation(rng):
             assert sum((d * z**r for r, d in depressed.items()), ring.zero()) \
                 == scale ** scale * relation, (tower, i)
             rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
-            pieces = _stage_pieces(ring, ring, rows, i)
-            depressed, (scale, lift) = _depressed(ring, pieces)
-            assert ring.linear_class(lift) == pieces[n]
+            pieces = relation_split(ring, ring, rows, i)
+            depressed, (scale, lift) = _stage_relation(ring, _stage_record(ring, i), rows)
+            assert ring.linear_class(lift) == pieces.get(n, ring.zero())
             hits = list(_scan(ring, depressed, values, 0, (scale, lift)))
             assert hits == brute_force_scan(ring, pieces, n + 1, values), (tower, rows, i)
             walked[bool(hits)] += 1
