@@ -73,10 +73,14 @@ def minors_gcd(rows: list[tuple[int, ...]], ncols: int) -> int:
     nonzero maximal minor is det L: the gcd is the product of the diagonal,
     or 0 once a row has nothing left to the right of the columns already
     used (short rank).  The last row need not be cleared: its diagonal
-    entry would be the gcd of its entries in the unused columns.
+    entry would be the gcd of its entries in the unused columns, so a
+    single row, the shape the isomorphism search prunes with, takes the
+    gcd of its first ``ncols`` entries at once.
     """
     if not rows:
         return 1
+    if len(rows) == 1:
+        return gcd(*rows[0][:ncols])
     cols = [[row[c] for row in rows] for c in range(ncols)]
     g = 1
     for i in range(len(rows) - 1):

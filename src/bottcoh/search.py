@@ -22,7 +22,9 @@ where that monomial's polynomial starts at its settling check.  Each call
 fills the structure with the pieces' integer coefficients and then walks
 the box depth-first, one coordinate at a time, reducing by the modulus of
 the walk.  A walk over Z may substitute the affine coordinates
-z_j = s b_j + l_j (s > 0) for b_j; it still yields b, in the same order.
+z_j = s b_j + l_j (s > 0) for b_j, and then solves the expression less the
+value at z = l of its pieces of positive exponent; it still yields b, in
+the same order.
 Fixing b_j substitutes it into the polynomials once for all the vectors
 that share the prefix b_1..b_j (shared substitution), and a polynomial that
 involves no coordinate after b_j is then a constant: a nonzero one rejects
@@ -37,14 +39,20 @@ f_i(x) = sum_q c_q x^(n+1-q), the Chern classes c_q of the stage table
 mapped by the rows fixed so far, depressed by z = (n+1) x + c_1 so that the
 term in z^n vanishes.  The search reads each stage's n + 1, c_1 and c_q
 from one record derived when it starts, and builds each depressed relation
-from it in one pass (``_stage_relation``).  For a CP^1 stage that is
-z^2 = c_1^2, the squares of row 1 with a constant, so every row of a
-Bott-tower search walks the one {2: 1} plan of its target ring.  The c_q
+from it in one pass (``_stage_relation``).  x = 0 solves every stage
+relation, so the depressed sum vanishes at z = c_1 and its constant is
+minus the value of the other terms there: no relation forms it, and the
+shifted walk reads that value along its own path b = 0.  A CP^1 stage,
+z^2 = c_1^2, is then the pieces {2: 1} of row 1, read off c_1 with no ring
+arithmetic, so every row of a Bott-tower search walks the one {2: 1} plan
+of its target ring.  The c_q
 read only the rows of the generators they involve, so DFS nodes whose
 prefixes agree on those rows pull from one walk, which advances only as
 far as some node takes it.  It searches row 1 up to sign: every relation
 is homogeneous and the box is symmetric, so -M is a witness whenever M is,
-and only rows 1 whose first nonzero entry is negative are tried.  Its
+and only rows 1 whose first nonzero entry is negative are tried: in
+lexicographic order they come first, and the search stops at the first row
+1 that leads positive.  Its
 unimodularity prune carries a column transform down the tree that clears
 the rows fixed so far, so each candidate row costs the gcd of its
 m - depth free entries instead of a reduction of the whole prefix.
@@ -142,7 +150,7 @@ def _plan(polys, m: int):
     root's number of slots.  ``checks`` holds, per polynomial settled
     there, the pair (terms, start): its value is start plus the sum of
     coeff * v^k over its (slot, k) terms, and the start is 0 here, for a
-    call to set from its constant piece; ``spread`` holds the (slot, child
+    call to set from its constant piece and shift; ``spread`` holds the (slot, child
     slot, k) multiply-adds that give the child's coefficients of the rest;
     ``width`` is the child's number of slots.
     """
@@ -179,8 +187,12 @@ def _plan(polys, m: int):
 
 def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     """Generate every nonzero b in values^m, in lexicographic order, with
-    sum_t pieces[t] * (sum_j z_j y_j)^t == 0 (mod ``mod``) in a ring over Z,
-    where z = b, or z_j = s * b_j + l_j for ``shift`` = (s, l) with s > 0.
+
+        pieces[0] + sum_(t>=1) pieces[t] * (h_z^t - h_l^t) == 0 (mod ``mod``)
+
+    in a ring over Z, h_z = sum_j z_j y_j, where z_j = s * b_j + l_j for
+    ``shift`` = (s, l) with s > 0, and z = b, l = 0 without one: an
+    unshifted walk solves sum_t pieces[t] * h_b^t == 0.
 
     ``values`` lists the coefficients tried per coordinate, in order: a
     bounded search passes range(-bound, bound + 1), a count over Z/n passes
@@ -188,15 +200,19 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     the caller names it, and a walk mod n gives what the same scan of the
     ring over Z/n would give.  A shifted walk is over Z (``mod`` 0), where
     the isomorphism search uses it for its depressed stage relations (see
-    :func:`_stage_relation`); z_j is increasing in b_j, so the order is
-    kept.  Pieces above the top degree add zero.
+    :func:`_stage_relation`): the value at z = l of its pieces t >= 1 is
+    minus the constant that each depressed relation leaves out.  z_j is
+    increasing in b_j, so the order is kept.  Pieces above the top degree
+    add zero.
 
     The scan structure is compiled once per ring and shape of the pieces
     of exponent t >= 1 (see :func:`_compile`) and kept on the ring,
     whatever the modulus, constant piece or shift; each call fills the
     root's coefficients from those pieces (reduced mod n in a walk mod n),
     starts each polynomial's settling check at its coefficient in the
-    constant piece, and walks the polynomials depth-first over the
+    constant piece, less, in a walk with l != 0, the polynomial's value at
+    z = l, read along the walk's own path b = 0 in one pass over the
+    levels, and walks the polynomials depth-first over the
     coordinates, with an explicit stack, in the order of ``values`` at each
     level.  A nonzero constant on a monomial outside every polynomial ends
     the walk before it starts.  A node is a prefix b_1..b_j with the
@@ -215,27 +231,19 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
         piece = pieces.get(t)
         if piece is not None and not piece.is_zero():
             live[t] = piece
-    constant = live.pop(0, None)
+    constant = live.pop(0, {})
     shape = tuple((t, tuple(piece.degrees())) for t, piece in live.items())
     plan = ring._scan_plans.get(shape)
     if plan is None:
         plan = ring._scan_plans[shape] = _compile(ring, shape)
     settle, table, levels, width = plan
-    if constant is not None:
-        starts = {}
-        for mu, c in constant.items():
-            at = settle.get(mu)
-            if at is not None:
-                starts[at] = c
-            elif not mod or c % mod:
-                return  # a nonzero constant polynomial: no b solves it
-        if starts:
-            levels = list(levels)
-            for j in {j for j, _ in starts}:
-                checks, spread, child_width = levels[j]
-                checks = [(terms, starts.get((j, i), 0))
-                          for i, (terms, _) in enumerate(checks)]
-                levels[j] = checks, spread, child_width
+    starts = {}
+    for mu, c in constant.items():
+        at = settle.get(mu)
+        if at is not None:
+            starts[at] = c
+        elif not mod or c % mod:
+            return  # a nonzero constant polynomial: no b solves it
     root = [0] * width
     for t, piece in live.items():
         for beta, c in piece.items():
@@ -243,9 +251,33 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
                 root[s] += c * w
     if mod:
         root = [c % mod for c in root]
-    values = tuple(values)
     scale, lift = shift or (1, (0,) * m)
-    powers = [_powers(values, scale, l, max(live, default=0)) for l in lift]
+    top = max(live, default=0)
+    if any(lift):
+        # each settling check starts less its polynomial's value at z = l,
+        # read along the one path b = 0 in a pass over the levels
+        coeffs = root
+        for j, ((checks, spread, child_width), l) in enumerate(zip(levels, lift)):
+            pw = [l**k for k in range(top + 1)]
+            for i, (terms, _) in enumerate(checks):
+                value = 0
+                for s, k in terms:
+                    value += coeffs[s] * pw[k]
+                if value:
+                    starts[j, i] = starts.get((j, i), 0) - value
+            child = [0] * child_width
+            for s, cs, k in spread:
+                child[cs] += coeffs[s] * pw[k]
+            coeffs = child
+    if starts:
+        levels = list(levels)
+        for j in {j for j, _ in starts}:
+            checks, spread, child_width = levels[j]
+            checks = [(terms, starts.get((j, i), 0))
+                      for i, (terms, _) in enumerate(checks)]
+            levels[j] = checks, spread, child_width
+    values = tuple(values)
+    powers = [_powers(values, scale, l, top) for l in lift]
     stack = [((), root)]
     while stack:
         prefix, coeffs = stack.pop()
@@ -331,36 +363,41 @@ def _stage_relation(target: BottRing, stage: tuple, rows):
 
         D_r = sum_q (n+1)^q C(n+1-q, r) (-c_1)^(n+1-q-r) c_q,
 
-    computed as the Taylor shift by -c_1 of the coefficients (n+1)^q c_q,
-    the images of the record's scaled c_q.  The ring is free over Z, so f
-    vanishes exactly where the depressed sum does.  Returns the pieces
-    {r: D_r} and the shift (n + 1, l) of :func:`_scan`, so that
-    z_j = (n+1) b_j + l_j.  For a CP^1 stage the depressed relation is
-    z^2 = c_1^2: the pieces {2: 1, 0: -c_1^2}, whose plan is that of
-    {2: 1}.
+    computed for 1 <= r < n as the Taylor shift by -c_1 of the coefficients
+    (n+1)^q c_q, the images of the record's scaled c_q; its last step,
+    which only clears D_n, is skipped.  D_0 is not formed: f = x prod_u
+    (x + u) vanishes at x = 0, where z is the image of c_1, so
+    D_0 = -sum_(r>=1) D_r c_1^r, the constant that the shifted walk of
+    :func:`_scan` implies.  The ring is free over Z, so f vanishes exactly
+    where the depressed sum does.  Returns the pieces {r: D_r} (r >= 1) and
+    the shift (n + 1, l) of :func:`_scan`, so that z_j = (n+1) b_j + l_j.
+    A CP^1 stage is z^2 = c_1^2: the pieces {2: 1}, read off the lift alone
+    with no ring arithmetic.
     """
     top, c1, reads, higher = stage
     lift = [0] * target.height
     for j, c in c1:
         for k, v in enumerate(rows[j]):
             lift[k] += c * v
-    image = target.linear_class(lift)._c
-    shift = {e: -c for e, c in image.items()}
-    # a[t] = (n+1)^(n+1-t) c_(n+1-t), the coefficients in w = (n+1) x; a[top]
-    # is 1 and never changes
-    a = [{} for _ in range(top - 1)] + [{e: top * c for e, c in image.items()},
-                                        target.one()._c]
-    if higher:
+    pieces = {top: target.one()}
+    if top > 2:
+        image = target.linear_class(lift)._c
+        shift = {e: -c for e, c in image.items()}
+        # a[t] = (n+1)^(n+1-t) c_(n+1-t), the coefficients in w = (n+1) x,
+        # for 1 <= t <= n; a[0] = c_(n+1) = 0 is never read, and a[top] = 1
+        # is not stored
+        a = [{} for _ in range(top - 1)] + [{e: top * c for e, c in image.items()}]
         images = {j: target.linear_class(rows[j]) for j in reads}
         for q, cq in enumerate(higher, start=2):
             a[top - q] = image_of_terms(target, images, cq)._c
-    for i in range(top):
-        target._raw_add(a[top - 1], shift)  # shift * a[top]
-        for j in range(top - 2, i - 1, -1):
-            if a[j + 1]:
-                target._raw_add(a[j], target._raw_mul(shift, a[j + 1]))
-    return ({t: CohomologyClass(target, terms) for t, terms in enumerate(a) if terms},
-            (top, tuple(lift)))
+        for i in range(top - 1):
+            target._raw_add(a[top - 1], shift)  # shift * a[top]
+            for j in range(top - 2, max(i, 1) - 1, -1):  # j = 0 would form D_0
+                if a[j + 1]:
+                    target._raw_add(a[j], target._raw_mul(shift, a[j + 1]))
+        pieces.update((t, CohomologyClass(target, a[t]))
+                      for t in range(1, top - 1) if a[t])
+    return pieces, (top, tuple(lift))
 
 
 def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness | None:
@@ -384,8 +421,11 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     runs over z_j = (n+1) b_j + l_j, l the coefficients of the image of
     c_1, and yields b.  The ring is free over Z, so no solution is lost,
     and z is increasing in b, so the order and the first witness are kept.
-    A CP^1 row is z^2 = c_1^2, whose plan is the {2: 1} plan of row 1: a
-    search on a Bott tower compiles one plan on its target ring.
+    x = 0 solves each relation, so the constant of the depressed relation
+    is minus the value of its other terms at z = l, which the walk implies
+    and no row forms.  A CP^1 row is z^2 = c_1^2: the pieces {2: 1} and no
+    constant piece, the plan of row 1, so a search on a Bott tower compiles
+    one plan on its target ring and forms no product for its rows.
 
     Row i's candidates are lazily walked streams, one per stage image: the
     pieces depend only on the earlier rows that the c_q of stage i read
@@ -395,17 +435,21 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
 
     Row 1 is searched up to sign.  Each relation is homogeneous, so -M is a
     witness whenever M is, and the box is symmetric; of M and -M the one
-    whose row 1 leads with a negative entry comes first, so rows 1 leading
-    with a positive entry are skipped.  The first witness is unchanged, and
-    an exhaustive search walks half the tree.
+    whose row 1 leads with a negative entry comes first, so only rows 1
+    leading with a negative entry are tried.  Row 1 is walked in
+    lexicographic order over a symmetric box, so every row 1 after the
+    first that leads positive leads positive too, and the search ends
+    there.  The first witness is unchanged, and an exhaustive search walks
+    half the tree and stops its row-1 walk at the midpoint.
 
     A gcd-of-minors prune discards prefixes that cannot complete to a
     unimodular matrix.  The DFS carries, per prefix of ``depth`` rows, a
     unimodular column transform U with prefix @ U = [L | 0] and |det L| = 1,
     so a candidate row r keeps the gcd of the maximal minors at 1 exactly
     when the free entries of r @ U (columns depth..m-1) have gcd 1: one
-    single-row ``minors_gcd`` per candidate.  Descending extends U by
-    Euclid's algorithm on the free columns only.  Returns the first
+    single-row ``minors_gcd`` per candidate, the gcd of those entries.
+    Descending extends U by Euclid's algorithm on the free columns only.
+    Returns the first
     verified witness, or None.
     """
     values = _check_bound(bound)
@@ -440,7 +484,7 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
         free = cols[depth:]
         for row in candidates(rows):
             if not depth and next(filter(None, row)) > 0:
-                continue  # its negative is tried first (sign rule)
+                return  # so does every later row 1; each negative was tried (sign rule)
             tail = [sum(map(mul, row, col)) for col in free]
             if minors_gcd([tail], m - depth) != 1:
                 continue

@@ -24,7 +24,7 @@ from bottcoh import (
 from bottcoh import classify
 from bottcoh.classify import _square_zero_count_mod
 from bottcoh.linalg import clear_row, det_int, minors_gcd
-from bottcoh.ring import image_of_terms
+from bottcoh.ring import BottRing, image_of_terms
 from bottcoh.search import _scan, _stage_record, _stage_relation
 
 from .conftest import mod_label, random_tower
@@ -35,6 +35,7 @@ from .oracles import (
     brute_force_square_zero_count,
     relation_split,
     sympy_relation,
+    taylor_shift_stage_relation,
 )
 
 # the modulus of the oracle's ring (0 for Z): a walk of the integer ring
@@ -541,9 +542,10 @@ WALK = bott_tower([[], [1], [-1, 2], [0, 1, -2]])
 
 def test_stage_relation_is_the_relation_split(rng):
     # the depressed relation built from the stage record is the relation's
-    # terms split by the exponent t of y_i, after z = s h + L: for random
-    # earlier rows and degree-2 classes h,
-    # sum_r D_r (s h + L)^r == s^s sum_t split_t h^t, with L the image of c_1
+    # terms split by the exponent t of y_i, after z = s h + L, less its value
+    # at h = 0 (where the relation vanishes): for random earlier rows and
+    # degree-2 classes h, with L the image of c_1,
+    # sum_(r>=1) D_r ((s h + L)^r - L^r) == s^s sum_t split_t h^t
     towers = [GEN] + CENSUS_3 + [
         random_tower(rng, max_height=4, max_dim=3) for _ in range(30)]
     for tower in towers:
@@ -554,13 +556,15 @@ def test_stage_relation_is_the_relation_split(rng):
             rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
             depressed, (s, lift) = _stage_relation(ring, _stage_record(ring, i), rows)
             split = relation_split(ring, ring, rows, i)
-            assert s == n + 1 and depressed[s] == ring.one() and n not in depressed
+            assert s == n + 1 and depressed[s] == ring.one()
+            assert n not in depressed and 0 not in depressed
             lin = ring.linear_class(lift)
             assert lin == split.get(n, ring.zero()), (tower, rows, i)
             for _ in range(3):
                 h = ring.linear_class([rng.randint(-3, 3) for _ in range(m)])
                 z = s * h + lin
-                lhs = sum((d * z**r for r, d in depressed.items()), ring.zero())
+                lhs = sum((d * (z**r - lin**r) for r, d in depressed.items()),
+                          ring.zero())
                 rhs = sum((p * h**t for t, p in split.items()), ring.zero())
                 assert lhs == s**s * rhs, (tower, rows, i, h)
 
@@ -575,10 +579,12 @@ C1_ZERO = [
 
 def test_depressed_stage_relation_is_the_scaled_relation(rng):
     # z = (n+1) x + c_1 turns (n+1)^(n+1) f_i(x) into sum_r D_r z^r with no
-    # z^n term: checked at a random x in the ring itself, where the earlier
-    # relations hold, against the relation expanded by sympy.  For random
-    # earlier rows, the shifted walk of the depressed pieces must find the
-    # rows of the oracle's scan of the undepressed pieces, in order
+    # z^n term, and f_i(0) = 0 makes D_0 = -sum_(r>=1) D_r c_1^r:
+    # sum_(r>=1) D_r (z^r - c_1^r) is checked at a random x in the ring
+    # itself, where the earlier relations hold, against the relation
+    # expanded by sympy.  For random earlier rows, the shifted walk of the
+    # depressed pieces, which implies D_0, must find the rows of the
+    # oracle's scan of the undepressed pieces, in order
     towers = [GEN] + C1_ZERO + [
         validate_tower([(3, []), (2, [[1], [2]])]),
         validate_tower([(1, []), (1, [[1]]), (2, [[1, -1], [0, 2]]), (1, [[1, 0, -1]])]),
@@ -601,13 +607,14 @@ def test_depressed_stage_relation_is_the_scaled_relation(rng):
             depressed, (scale, lift) = _stage_relation(
                 ring, _stage_record(ring, i), identity)
             assert scale == n + 1 and depressed[n + 1] == ring.one()
-            assert n not in depressed
+            assert n not in depressed and 0 not in depressed
             x = ring.linear_class([rng.randint(-3, 3) for _ in range(m)])
-            z = scale * x + ring.linear_class(lift)
+            lin = ring.linear_class(lift)
+            z = scale * x + lin
             images = list(ring.gens()[:i - 1]) + [x]
             relation = image_of_terms(ring, images, sympy_relation(tower, i))
-            assert sum((d * z**r for r, d in depressed.items()), ring.zero()) \
-                == scale ** scale * relation, (tower, i)
+            assert sum((d * (z**r - lin**r) for r, d in depressed.items()),
+                       ring.zero()) == scale ** scale * relation, (tower, i)
             rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
             pieces = relation_split(ring, ring, rows, i)
             depressed, (scale, lift) = _stage_relation(ring, _stage_record(ring, i), rows)
@@ -616,6 +623,87 @@ def test_depressed_stage_relation_is_the_scaled_relation(rng):
             assert hits == brute_force_scan(ring, pieces, n + 1, values), (tower, rows, i)
             walked[bool(hits)] += 1
     assert min(walked.values()) >= 5, walked
+
+
+def test_implied_constant_is_the_taylor_shift_constant(rng):
+    # the pieces r >= 1 are those of the full Taylor shift formed in the
+    # ring, and the constant the shifted walk implies, minus the value of
+    # those pieces at z = L, is the reference's D_0: for random earlier
+    # rows, -sum_(r>=1) D_r L^r == D_0, with L the image of c_1
+    towers = [GEN] + C1_ZERO + CENSUS_3 + [
+        random_tower(rng, max_height=4, max_dim=3) for _ in range(30)]
+    constants = {True: 0, False: 0}
+    for tower in towers:
+        ring = build_ring(tower)
+        m = ring.height
+        for i in range(1, m + 1):
+            rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
+            stage = _stage_record(ring, i)
+            depressed, (_, lift) = _stage_relation(ring, stage, rows)
+            reference = taylor_shift_stage_relation(ring, stage, rows)
+            constant = reference.pop(0, ring.zero())
+            assert depressed == reference, (tower, rows, i)
+            lin = ring.linear_class(lift)
+            implied = -sum((d * lin**r for r, d in depressed.items()), ring.zero())
+            assert implied == constant, (tower, rows, i)
+            constants[constant.is_zero()] += 1
+    assert min(constants.values()) >= 30, constants
+
+
+def test_cp1_stage_relation_needs_no_ring_arithmetic(monkeypatch):
+    # a CP^1 row is {2: 1} and the shift, read off the lift alone; a stage
+    # of fiber >= 2 still forms its D_r in the ring
+    calls = []
+    for name in ("_raw_mul", "_raw_add", "linear_class"):
+        def counted(self, *args, _name=name, _real=getattr(BottRing, name)):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(BottRing, name, counted)
+    ring = build_ring(WALK)
+    rows = [(-1, 0, 0, 0), (2, -1, 0, 0), (1, 1, 1, 0)]
+    for i in range(1, 5):
+        stage = _stage_record(ring, i)
+        calls.clear()
+        pieces, shift = _stage_relation(ring, stage, rows[:i - 1])
+        assert not calls, (i, calls)
+        (row,) = WALK.stages[i - 1].summand_exponents
+        lift = tuple(sum(a * r[k] for a, r in zip(row, rows)) for k in range(4))
+        assert pieces == {2: ring.one()} and shift == (2, lift), (i, shift)
+    ring = build_ring(GEN)
+    stage = _stage_record(ring, 2)
+    calls.clear()
+    pieces, shift = _stage_relation(ring, stage, [(-1, 0, 0)])
+    assert shift == (3, (-4, 0, 0)) and calls.count("_raw_mul") > 0
+
+
+def test_row_one_stops_at_the_sign_midpoint(monkeypatch):
+    # the row-1 walk is in lexicographic order over a symmetric box, so
+    # after the first row 1 that leads with a positive entry every later one
+    # does too: an exhaustive search pulls the negative half of row 1 and
+    # that one row, and tries no row 1 that leads positive
+    walks, pulled, tried = [], [], []
+
+    def recording_scan(*args):
+        walks.append(args)
+        walk = _scan(*args)
+        if len(walks) > 1:
+            return walk
+        return (pulled.append(row) or row for row in walk)  # the row-1 walk
+
+    def recording_minors_gcd(rows, ncols):
+        if ncols == 4:  # row 1: the transform is the identity
+            tried.append(tuple(rows[0]))
+        return minors_gcd(rows, ncols)
+
+    t, tp = WALK, bott_tower([[], [-1], [1, -2], [0, 1, 2]])
+    row1 = list(_scan(build_ring(t), {2: build_ring(t).one()}, range(-2, 3)))
+    negative = [row for row in row1 if next(filter(None, row)) < 0]
+    assert 0 < len(negative) < len(row1)
+    monkeypatch.setattr(search, "_scan", recording_scan)
+    monkeypatch.setattr(search, "minors_gcd", recording_minors_gcd)
+    assert iso_search(build_ring(t), build_ring(tp), 2) is None
+    assert pulled == row1[:len(negative) + 1]
+    assert tried == negative
 
 
 @pytest.mark.parametrize("t, tp, bound, scans, found", [
@@ -917,3 +1005,21 @@ def test_minors_gcd_matches_oracle(rng):
         kinds["zero" if g == 0 else "one" if g == 1 else "other"] += 1
     assert min(kinds.values()) > 100, kinds
     assert minors_gcd([], 3) == 1
+
+
+def test_minors_gcd_of_one_row_matches_oracle(rng):
+    # the one shape the search prunes with: a single row, whose maximal
+    # minors are its first ncols entries
+    kinds = {"zero": 0, "one": 0, "other": 0}
+    for _ in range(2000):
+        width = rng.randint(1, 7)
+        row = tuple(rng.choice([0, 1, -1, 2, -2, 3, -3, 6, -6]) for _ in range(width))
+        if rng.randrange(5) == 0:
+            row = (0,) * width
+        ncols = rng.randint(0, width)
+        g = minors_gcd([row], ncols)
+        assert g == brute_force_minors_gcd([row], ncols), (row, ncols)
+        kinds["zero" if g == 0 else "one" if g == 1 else "other"] += 1
+    assert min(kinds.values()) > 100, kinds
+    assert minors_gcd([(0, -4, -6, 5)], 3) == 2
+    assert minors_gcd([(-3, 0)], 2) == 3
