@@ -30,7 +30,10 @@ that share the prefix b_1..b_j (shared substitution), and a polynomial that
 involves no coordinate after b_j is then a constant: a nonzero one rejects
 the whole prefix at once (early rejection).  In a Bott tower the
 coefficient of y_l y_k in h^2 involves b_k and lower coordinates only, so
-most prefixes die well before the last coordinate.
+most prefixes die well before the last coordinate.  Each level of the plan
+lays out a node's coefficients so that the child's slot c is the node's
+slot c, a term free of z_j: a child starts as a slice of its parent and
+pays a multiply-add only for the terms in which z_j occurs.
 
 The isomorphism search fixes the rows of a matrix depth-first; the DFS is a
 recursive generator, taken at its first item.  A row's candidates are
@@ -144,15 +147,21 @@ def _plan(polys, m: int):
     at the level of the last coordinate it involves: fixing that coordinate
     leaves a constant.  Every polynomial must involve some coordinate.
 
+    Slot c below the child's width is the tail (0,) + (the child's slot c),
+    so the child's coefficients start as this level's first ``width``
+    slots, copied as they are; where no term has that tail the slot is a
+    zero slot, which holds 0 at every node.  The slots after them hold the
+    tails with k >= 1 and those settled at this level.
+
     Returns the slot map, per polynomial {alpha: root slot}, the settling
     check of each polynomial as a pair (level, index into that level's
     ``checks``), the levels, per level ``(checks, spread, width)``, and the
     root's number of slots.  ``checks`` holds, per polynomial settled
     there, the pair (terms, start): its value is start plus the sum of
     coeff * v^k over its (slot, k) terms, and the start is 0 here, for a
-    call to set from its constant piece and shift; ``spread`` holds the (slot, child
-    slot, k) multiply-adds that give the child's coefficients of the rest;
-    ``width`` is the child's number of slots.
+    call to set from its constant piece and shift; ``spread`` holds the
+    (slot, child slot, k) multiply-adds, all of k >= 1, that add to the
+    child's copied slots; ``width`` is the child's number of slots.
     """
     last = [max(j for a in poly for j, e in enumerate(a) if e) for poly in polys]
     terms = [(p, a) for p, poly in enumerate(polys) for a in poly]
@@ -163,7 +172,8 @@ def _plan(polys, m: int):
     levels = []
     width = 0
     for j in range(m - 1, -1, -1):
-        index: dict = {}
+        # slot c < width is (0, c): the child's slot c, carried as it is
+        index: dict = {(0, c): c for c in range(width)}
         for t, (p, a) in enumerate(terms):
             if last[p] >= j:
                 slot[t] = index.setdefault((a[j], slot[t]), len(index))
@@ -172,7 +182,7 @@ def _plan(polys, m: int):
         for (k, child), s in index.items():
             if child < 0:
                 checks.setdefault(child, []).append((s, k))
-            else:
+            elif k:
                 spread.append((s, child, k))
         for c, child in enumerate(checks):
             settle[-1 - child] = (j, c)
@@ -217,8 +227,10 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     level.  A nonzero constant on a monomial outside every polynomial ends
     the walk before it starts.  A node is a prefix b_1..b_j with the
     coefficients of the polynomials still in play after substituting
-    z_1..z_j (see :func:`_plan`); each child costs one multiply-add per
-    slot.  A polynomial settled by the child's coordinate must vanish (mod
+    z_1..z_j (see :func:`_plan`); a child, also on the path b = 0, is the
+    slice of the node's first ``width`` slots, the terms free of z_j, plus
+    one multiply-add per ``spread`` entry, a term in z_j^k with k >= 1.  A
+    polynomial settled by the child's coordinate must vanish (mod
     n in a walk mod n), else the child and its whole subtree are skipped;
     once settled it is dropped.  At the last coordinate every remaining
     polynomial is univariate and settles, so a leaf is a solution exactly
@@ -226,11 +238,8 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     its consumer takes vectors.
     """
     m = ring.height
-    live = {}
-    for t in range(ring.top_degree + 1):
-        piece = pieces.get(t)
-        if piece is not None and not piece.is_zero():
-            live[t] = piece
+    live = {t: piece for t, piece in sorted(pieces.items())
+            if 0 <= t <= ring.top_degree and not piece.is_zero()}
     constant = live.pop(0, {})
     shape = tuple((t, tuple(piece.degrees())) for t, piece in live.items())
     plan = ring._scan_plans.get(shape)
@@ -258,14 +267,14 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
         # read along the one path b = 0 in a pass over the levels
         coeffs = root
         for j, ((checks, spread, child_width), l) in enumerate(zip(levels, lift)):
-            pw = [l**k for k in range(top + 1)]
+            pw = _powers((0,), scale, l, top)[0]
             for i, (terms, _) in enumerate(checks):
                 value = 0
                 for s, k in terms:
                     value += coeffs[s] * pw[k]
                 if value:
                     starts[j, i] = starts.get((j, i), 0) - value
-            child = [0] * child_width
+            child = coeffs[:child_width]
             for s, cs, k in spread:
                 child[cs] += coeffs[s] * pw[k]
             coeffs = child
@@ -293,7 +302,7 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
             else:
                 vec = prefix + (v,)
                 if len(vec) < m:
-                    child = [0] * width
+                    child = coeffs[:width]
                     for i, ci, k in spread:
                         child[ci] += coeffs[i] * pw[k]
                     children.append((vec, child))

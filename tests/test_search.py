@@ -967,6 +967,102 @@ def test_iso_search_compiles_one_plan_per_stage_shape(monkeypatch):
     assert [list(r._scan_plans) for r in rings] == [[((2, (0,)),)]] * 2
 
 
+def plan_polynomials(plan):
+    """Each settled polynomial of a compiled plan read back from its slots,
+    per (level, check), {alpha: {(t, beta): weight}}.  The layout is
+    checked on the way: at every level the parent's slot c < the child's
+    width is carried as the child's slot c (z_j^0, no spread entry), and
+    every other slot is exactly one spread entry, of k >= 1, or one term of
+    one check."""
+    _, table, levels, width = plan
+    widths = [width] + [child_width for _, _, child_width in levels]
+    assert widths[-1] == 0
+    routes = []  # per level, slot -> (k, child slot or (level, check))
+    for j, (checks, spread, child_width) in enumerate(levels):
+        route = {c: (0, c) for c in range(child_width)}
+        for s, c, k in spread:
+            assert k >= 1 and s >= child_width and 0 <= c < child_width, (j, s, c, k)
+            assert s not in route, (j, s)
+            route[s] = (k, c)
+        for i, (terms, start) in enumerate(checks):
+            assert start == 0
+            for s, k in terms:
+                assert s >= child_width and s not in route, (j, s)
+                route[s] = (k, (j, i))
+        assert sorted(route) == list(range(widths[j])), j
+        routes.append(route)
+    polys: dict = {}
+    for (t, beta), entries in table.items():
+        for s, w in entries:
+            alpha, j = [], 0
+            while True:
+                k, s = routes[j][s]
+                alpha.append(k)
+                if isinstance(s, tuple):
+                    break
+                j += 1
+            alpha += [0] * (len(levels) - len(alpha))
+            poly = polys.setdefault(s, {}).setdefault(tuple(alpha), {})
+            poly[t, beta] = poly.get((t, beta), 0) + w
+    return polys
+
+
+def assert_plan_layout(ring, rng):
+    """Every plan compiled on ``ring`` has the carried layout, and its
+    polynomials, filled with random pieces of the plan's shape, are the
+    coefficients of sum_t pieces[t] h_z^t at a random z."""
+    assert ring._scan_plans
+    for shape, plan in ring._scan_plans.items():
+        polys = plan_polynomials(plan)
+        settle = plan[0]
+        assert sorted(polys) == sorted(settle.values())
+        pieces = {t: ring.from_terms({beta: rng.randint(-3, 3)
+                                      for d in degrees for beta in ring.basis(d)})
+                  for t, degrees in shape}
+        z = [rng.randint(-3, 3) for _ in range(ring.height)]
+        h = ring.linear_class(z)
+        expected = dict(sum((p * h**t for t, p in pieces.items()), ring.zero()).items())
+        for mu, at in settle.items():
+            value = 0
+            for alpha, weights in polys[at].items():
+                zalpha = 1
+                for zj, a in zip(z, alpha):
+                    zalpha *= zj**a
+                for (t, beta), w in weights.items():
+                    value += dict(pieces[t].items()).get(beta, 0) * w * zalpha
+            assert value == expected.pop(mu, 0), (shape, mu)
+        assert not any(expected.values()), expected  # nothing outside every polynomial
+
+
+def test_scan_plans_carry_the_child_slots(rng):
+    # the {2: 1} plans of census 3 and of seeded height-4 and height-5
+    # Bott towers, the plan of shaped_pieces and the plans of CP^2 and
+    # CP^3 stage relations
+    towers = CENSUS_3 + [
+        bott_tower([[rng.randint(-2, 2) for _ in range(k)] for k in range(m)])
+        for m in (4, 4, 5, 5, 5)]
+    for tower in towers:
+        ring = build_ring(tower)
+        list(_scan(ring, {2: ring.one()}, range(1)))
+        assert_plan_layout(ring, rng)
+    ring = build_ring(bott_tower_3(1, -2, 3))
+    list(_scan(ring, shaped_pieces(ring)[-1], range(1)))
+    assert_plan_layout(ring, rng)
+    stages = 0
+    for tower in [GEN, validate_tower([(3, []), (3, [[2], [-1], [3]])]),
+                  validate_tower([(1, []), (2, [[1], [-1]]), (3, [[1, 1], [0, 2], [-1, 0]])])]:
+        ring = build_ring(tower)
+        for i in range(2, ring.height + 1):
+            if ring.dims[i - 1] in (2, 3):
+                rows = [tuple(rng.randint(-2, 2) for _ in range(ring.height))
+                        for _ in range(i - 1)]
+                pieces, shift = _stage_relation(ring, _stage_record(ring, i), rows)
+                list(_scan(ring, pieces, range(1), 0, shift))
+                stages += 1
+        assert_plan_layout(ring, rng)
+    assert stages == 4
+
+
 def test_equal_rings_do_not_share_scan_plans():
     r1, r2 = build_ring(hirzebruch(1)), build_ring(hirzebruch(1))
     assert r1 == r2 and r1 is not r2
