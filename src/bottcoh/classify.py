@@ -275,8 +275,20 @@ def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
 
 def _residue_square_zero_count(ring: BottRing, modulus: int) -> int:
     """The Z/modulus square-zero count of a ring over Z, from one residue
-    scan; the ring keeps the {2: 1} plan for every modulus and the search."""
-    return sum(1 for _ in _scan(ring, {2: ring.one()}, range(modulus), modulus))
+    scan; the ring keeps the {2: 1} plan for every modulus and the search.
+
+    When 4 divides n = ``modulus`` the scan walks only the residues
+    range(n/2).  The relations are integral, so for b' in {0, 1}^m
+
+        h_(b + (n/2) b')^2 = h_b^2 + n h_b h_b' + (n^2/4) h_b'^2 == h_b^2 (mod n):
+
+    the solutions, zero included, are the 2^m lifts of those in the half
+    box, and the count of the nonzero ones is 2^m (1 + hits) - 1.
+    """
+    if modulus % 4:
+        return sum(1 for _ in _scan(ring, {2: ring.one()}, range(modulus), modulus))
+    hits = sum(1 for _ in _scan(ring, {2: ring.one()}, range(modulus // 2), modulus))
+    return 2**ring.height * (1 + hits) - 1
 
 
 def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
@@ -292,7 +304,11 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
 
     Each tower gets one ring, over Z, built once the p1 test has passed:
     the residue counts scan it modulo 2, 4 and 8, and the search runs on
-    it, so all of them share its compiled {2: 1} scan plan.
+    it, so all of them share its compiled {2: 1} scan plan.  The counts
+    modulo 4 and 8 walk half the residues per coordinate: a square mod n
+    (4 | n) does not change when n/2 is added to any coordinate, since
+    (h + (n/2) h')^2 = h^2 + n h h' + (n^2/4) h'^2, so each solution in
+    the half box stands for 2^3 of them.
     """
     _check_bound(bound)
     t = validate_tower(tower)

@@ -618,6 +618,14 @@ def verify_map(source: BottRing, target: BottRing, matrix) -> RingMap | None:
     image (failure is a value, not an exception).  The map is flagged an
     isomorphism when additionally the matrix is square unimodular and the
     graded ranks agree.
+
+    Stage i is checked as the root product phi(y_i) prod_u (phi(y_i) +
+    phi(u)) over the stage's summand roots u: one product of n_i + 1
+    linear classes.  The relation f_i differs from that product by
+    multiples of f_1, ..., f_(i-1) (its c_q are reduced in the source), and
+    the stages are checked in order, returning at the first that fails, so
+    when stage i is reached those relations map to zero and the root
+    product is the image of f_i.
     """
     if source.mod != target.mod:
         raise DomainMismatchError("rings must share a coefficient domain")
@@ -628,9 +636,16 @@ def verify_map(source: BottRing, target: BottRing, matrix) -> RingMap | None:
         raise ValueError(
             f"matrix must be {source.height} x {target.height} ints for these rings"
         )
-    images = [target.linear_class(row) for row in matrix]
-    for i in range(1, source.height + 1):
-        if not image_of_terms(target, images, source.relation_terms(i)).is_zero():
+    for row, roots in zip(matrix, source._roots):
+        product = target.linear_class(row)._c
+        for u in roots:
+            if not product:
+                break
+            shifted = list(row)
+            for e, c in u.items():  # u = sum c y_j, e the unit vector of j
+                shifted = [a + c * b for a, b in zip(shifted, matrix[e.index(1)])]
+            product = target._raw_mul(product, target.linear_class(shifted)._c)
+        if product:
             return None
     return RingMap(source, target, matrix, verified=True)
 

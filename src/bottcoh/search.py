@@ -17,14 +17,17 @@ The expression is one polynomial in b per basis monomial, linear in the
 pieces.  The scan structure (which polynomials can occur, their supports,
 their integer weights and the walk over them) is compiled once per ring and
 shape of the pieces of positive exponent and kept on the ring; it holds no
-modulus.  A constant piece takes no slot: its coefficient on a monomial is
-where that monomial's polynomial starts at its settling check.  Each call
-fills the structure with the pieces' integer coefficients and then walks
-the box depth-first, one coordinate at a time, reducing by the modulus of
-the walk.  A walk over Z may substitute the affine coordinates
-z_j = s b_j + l_j (s > 0) for b_j, and then solves the expression less the
-value at z = l of its pieces of positive exponent; it still yields b, in
-the same order.
+modulus.  Only the weights are the ring's own: the walk reads the supports
+alone, so rings whose polynomials have the same supports (a tower and its
+sign twists, say) take one immutable walk, shared by support signature from
+a bounded module-level cache.  A constant piece takes no slot: its
+coefficient on a monomial is where that monomial's polynomial starts at its
+settling check.  Each call fills the structure with the pieces' integer
+coefficients and then walks the box depth-first, one coordinate at a time,
+reducing by the modulus of the walk.  A walk over Z may substitute the
+affine coordinates z_j = s b_j + l_j (s > 0) for b_j, and then solves the
+expression less the value at z = l of its pieces of positive exponent; it
+still yields b, in the same order.
 Fixing b_j substitutes it into the polynomials once for all the vectors
 that share the prefix b_1..b_j (shared substitution), and a polynomial that
 involves no coordinate after b_j is then a constant: a nonzero one rejects
@@ -104,7 +107,11 @@ def _compile(ring: BottRing, shape):
     (level, check) pair that settles the polynomial of mu, and a monomial
     with no key lies outside every polynomial; ``table[t, beta]`` lists the
     (root slot, weight) pairs that pieces[t][beta] adds to; ``levels`` and
-    ``width`` are the walk of :func:`_plan`.  A weight is the integer
+    ``width`` are the walk of :func:`_plan`.  The settling checks and the
+    weights are this ring's; the walk is shared by support signature, the
+    alphas of each polynomial in order together with m, which is all that
+    :func:`_plan` reads, so rings whose polynomials differ only in their
+    weights take the same ``levels`` object.  A weight is the integer
     multinomial(alpha) * NF(y^(beta + alpha))[mu], never reduced, so the
     plan serves a walk modulo any n (a weight that vanishes mod n only
     keeps a term that adds zero).  Nothing in the plan depends on the
@@ -127,18 +134,22 @@ def _compile(ring: BottRing, shape):
                 for mu, c in ring._monomial_nf(e).items():
                     polys.setdefault(mu, {}).setdefault(alpha, []).append(
                         (t, beta, mult * c))
-    slots, settle, levels, width = _plan(list(polys.values()), m)
+    signature = tuple(tuple(poly) for poly in polys.values())
+    slots, settle, levels, width = _plan(signature, m)
     table: dict = {}
     for poly, slot in zip(polys.values(), slots):
-        for alpha, entries in poly.items():
+        for entries, s in zip(poly.values(), slot):
             for t, beta, w in entries:
-                table.setdefault((t, beta), []).append((slot[alpha], w))
+                table.setdefault((t, beta), []).append((s, w))
     return dict(zip(polys, settle)), table, levels, width
 
 
-def _plan(polys, m: int):
+@lru_cache(maxsize=128)
+def _plan(polys: tuple, m: int):
     """Static plan of the walk over z_1..z_m for polynomials given by their
-    supports (each an iterable of exponent vectors alpha).
+    supports (each a tuple of exponent vectors alpha).  Plans are cached by
+    these arguments, the support signature and m, and shared between rings,
+    so every part of one is a tuple and no caller changes it.
 
     Entering level j (z_j is the next coordinate, 0-based), a polynomial
     still in play is held as one coefficient per distinct tail alpha[j:] of
@@ -153,15 +164,16 @@ def _plan(polys, m: int):
     zero slot, which holds 0 at every node.  The slots after them hold the
     tails with k >= 1 and those settled at this level.
 
-    Returns the slot map, per polynomial {alpha: root slot}, the settling
-    check of each polynomial as a pair (level, index into that level's
-    ``checks``), the levels, per level ``(checks, spread, width)``, and the
-    root's number of slots.  ``checks`` holds, per polynomial settled
-    there, the pair (terms, start): its value is start plus the sum of
-    coeff * v^k over its (slot, k) terms, and the start is 0 here, for a
-    call to set from its constant piece and shift; ``spread`` holds the
-    (slot, child slot, k) multiply-adds, all of k >= 1, that add to the
-    child's copied slots; ``width`` is the child's number of slots.
+    Returns the slot map, per polynomial the root slot of each of its
+    alphas in order, the settling check of each polynomial as a pair
+    (level, index into that level's ``checks``), the levels, per level
+    ``(checks, spread, width)``, and the root's number of slots.  ``checks``
+    holds, per polynomial settled there, the pair (terms, start): its value
+    is start plus the sum of coeff * v^k over its (slot, k) terms, and the
+    start is 0 here, for a call to set from its constant piece and shift;
+    ``spread`` holds the (slot, child slot, k) multiply-adds, all of k >= 1,
+    that add to the child's copied slots; ``width`` is the child's number
+    of slots.
     """
     last = [max(j for a in poly for j, e in enumerate(a) if e) for poly in polys]
     terms = [(p, a) for p, poly in enumerate(polys) for a in poly]
@@ -186,13 +198,13 @@ def _plan(polys, m: int):
                 spread.append((s, child, k))
         for c, child in enumerate(checks):
             settle[-1 - child] = (j, c)
-        levels.append(([(pairs, 0) for pairs in checks.values()], spread, width))
+        levels.append((tuple((tuple(pairs), 0) for pairs in checks.values()),
+                       tuple(spread), width))
         width = len(index)
-    levels.reverse()
-    slots: list[dict] = [{} for _ in polys]
-    for (p, a), s in zip(terms, slot):
-        slots[p][a] = s
-    return slots, settle, levels, width
+    slots: list[list] = [[] for _ in polys]
+    for (p, _), s in zip(terms, slot):
+        slots[p].append(s)
+    return tuple(map(tuple, slots)), tuple(settle), tuple(reversed(levels)), width
 
 
 def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
@@ -217,7 +229,8 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
 
     The scan structure is compiled once per ring and shape of the pieces
     of exponent t >= 1 (see :func:`_compile`) and kept on the ring,
-    whatever the modulus, constant piece or shift; each call fills the
+    whatever the modulus, constant piece or shift, its walk shared by
+    support signature with other rings; each call fills the
     root's coefficients from those pieces (reduced mod n in a walk mod n),
     starts each polynomial's settling check at its coefficient in the
     constant piece, less, in a walk with l != 0, the polynomial's value at

@@ -28,6 +28,11 @@ tower's rows, where the package reads each stage's factor from the Chern
 classes of its stage table; the sympy tangent classes expand the same
 products symbolically and reduce them by the Groebner basis.  The exact
 rank eliminates over Q on fractions; the package has no rank routine.
+The full residue count walks every residue per coordinate, where the
+package walks half of them when 4 divides the modulus; it shares the
+package's walk, which the brute-force count checks on its own.  The
+expanded map check sends every term of each relation through the matrix,
+where the package multiplies the stage's root factors.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import sympy as sp
 from bottcoh import build_ring, steenrod_square
 from bottcoh.linalg import det_int
 from bottcoh.ring import CohomologyClass, image_of_terms
+from bottcoh.search import _scan
 
 
 def sympy_ring_data(tower):
@@ -180,6 +186,25 @@ def brute_force_square_zero_count(tower, modulus) -> int:
         if (h * h).is_zero():
             count += 1
     return count
+
+
+def full_residue_square_zero_count(ring, modulus) -> int:
+    """Number of nonzero residue vectors b in (Z/modulus)^m with
+    h_b^2 == 0 over Z/modulus, from the residue walk of the ring over Z
+    over every residue range(modulus) per coordinate."""
+    return sum(1 for _ in _scan(ring, {2: ring.one()}, range(modulus), modulus))
+
+
+def expanded_relation_failure(source, target, matrix):
+    """The first stage i (1-based) whose relation, every term of
+    ``source.relation_terms(i)`` mapped by y'_j -> sum_k matrix[j][k] y_k,
+    has a nonzero image in ``target``; None when every relation maps to
+    zero."""
+    images = [target.linear_class(row) for row in matrix]
+    for i in range(1, source.height + 1):
+        if not image_of_terms(target, images, source.relation_terms(i)).is_zero():
+            return i
+    return None
 
 
 def brute_force_minors_gcd(rows, ncols) -> int:

@@ -15,9 +15,11 @@ from bottcoh import (
     apply_map,
     bott_tower_3,
     build_ring,
+    dualize_stage,
     graded_rank,
     hirzebruch,
     integrate,
+    iso_search,
     multiply,
     normal_form,
     power,
@@ -31,6 +33,7 @@ from bottcoh.ring import image_of_terms
 from .conftest import mod_label, random_tower
 from .oracles import (
     class_terms,
+    expanded_relation_failure,
     random_order_reduce,
     sympy_normal_form,
     sympy_relation,
@@ -406,6 +409,57 @@ def test_verify_map_parity_obstruction_exhaustive():
                     if rm is not None:
                         found.append(mat)
     assert found == []
+
+
+def test_verify_map_root_products_match_the_expanded_relations(rng):
+    # verify_map multiplies each stage's root factors; the oracle maps every
+    # term of each relation.  Search witnesses, the same with one entry
+    # changed and random matrices, on seeded towers of height 2 to 4 with
+    # fibers 1 to 3 and some zero summand rows, over Z, Z/2, Z/3 and Z/4
+    seen = {"verified": 0, "rejected": 0, "failed_before_last": 0, "witnesses": 0}
+    for _ in range(40):
+        m = rng.randint(2, 4)
+        dims = [rng.randint(1, 3) for _ in range(m)]
+
+        def row(i):
+            if rng.random() < 0.25:
+                return [0] * i
+            return [rng.randint(-2, 2) for _ in range(i)]
+
+        t = validate_tower([(n, [row(i) for _ in range(n)]) for i, n in enumerate(dims)])
+        tp = t.replace_stage(m, dualize_stage(t.stages[-1])) if rng.random() < 0.7 else t
+        matrices = []
+        witness = iso_search(build_ring(t), build_ring(tp), 1)
+        if witness is not None:
+            seen["witnesses"] += 1
+            bent = [list(r) for r in witness.matrix]
+            bent[rng.randrange(m)][rng.randrange(m)] += rng.choice([-1, 1])
+            matrices += [witness.matrix, bent]
+        matrices += [[[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+                     for _ in range(3)]
+        for mod in (0, 2, 3, 4):
+            source, target = build_ring(tp, mod), build_ring(t, mod)
+            for mat in matrices:
+                failed = expanded_relation_failure(source, target, mat)
+                assert (verify_map(source, target, mat) is None) == (failed is not None), \
+                    (t, tp, mat, mod)
+                seen["rejected" if failed else "verified"] += 1
+                seen["failed_before_last"] += failed is not None and failed < m
+    assert min(seen.values()) >= 20, seen
+
+
+def test_verify_map_returns_at_the_first_failing_stage():
+    # stage 1 fails; stage 2's relation then maps to zero term by term,
+    # while its root product does not: the two checks agree only once the
+    # stages below map to zero, and both reject the matrix at stage 1
+    ring = build_ring(validate_tower([(1, []), (2, [[2], [-1]])]))
+    matrix = [[1, -1], [-1, 0]]
+    assert expanded_relation_failure(ring, ring, matrix) == 1
+    images = [ring.linear_class(row) for row in matrix]
+    assert image_of_terms(ring, images, ring.relation_terms(2)).is_zero()
+    y1, y2 = images
+    assert not (y2 * (y2 + 2 * y1) * (y2 - y1)).is_zero()
+    assert verify_map(ring, ring, matrix) is None
 
 
 def test_apply_map_identity():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
@@ -33,6 +34,7 @@ from .oracles import (
     brute_force_minors_gcd,
     brute_force_scan,
     brute_force_square_zero_count,
+    full_residue_square_zero_count,
     relation_split,
     sympy_relation,
     taylor_shift_stage_relation,
@@ -780,6 +782,40 @@ def test_square_zero_count_mod_matches_oracle(modulus):
             brute_force_square_zero_count(tower, modulus), (tower, modulus)
 
 
+@pytest.mark.parametrize("modulus", [2, 3, 4, 8, 12, 16])
+def test_lifted_residue_count_matches_the_full_walk(modulus, rng):
+    # when 4 | n the count walks range(n/2) and lifts each hit to 2^m
+    # solutions; the full walk over range(n) must agree, on census 3,
+    # seeded height-4 and height-5 Bott towers and generalized towers
+    seeded = [bott_tower([[rng.randint(-3, 3) for _ in range(k)] for k in range(m)])
+              for m in (4, 4, 4, 5, 5, 5)]
+    seeded += [random_tower(rng, max_height=4, max_dim=3, max_entry=2)
+               for _ in range(12)]
+    counts = set()
+    for tower in CENSUS_3 + seeded:
+        ring = build_ring(tower)
+        count = classify._residue_square_zero_count(ring, modulus)
+        assert count == full_residue_square_zero_count(ring, modulus), (tower, modulus)
+        counts.add(count)
+    assert len(counts) > 2, counts
+
+
+def test_residue_count_walks_half_the_residues_when_four_divides(monkeypatch):
+    walks = []
+    real_scan = classify._scan
+
+    def recording_scan(ring, pieces, values, mod=0, shift=None):
+        walks.append((tuple(values), mod))
+        return real_scan(ring, pieces, values, mod, shift)
+
+    monkeypatch.setattr(classify, "_scan", recording_scan)
+    ring = build_ring(bott_tower_3(-4, -2, -3))
+    for n in (2, 3, 4, 6, 8, 12, 16):
+        classify._residue_square_zero_count(ring, n)
+    assert walks == [(tuple(range(n // 2 if n % 4 == 0 else n)), n)
+                     for n in (2, 3, 4, 6, 8, 12, 16)]
+
+
 @pytest.mark.parametrize("modulus", [0, 1, -3, True, False, 2.0])
 def test_square_zero_count_mod_rejects_bad_modulus(modulus):
     calls = [_square_zero_count_mod]
@@ -1072,6 +1108,80 @@ def test_equal_rings_do_not_share_scan_plans():
     assert list(_scan(r2, {2: r2.one()}, values)) == got
     (p1,), (p2,) = r1._scan_plans.values(), r2._scan_plans.values()
     assert p1 is not p2
+    # each ring keeps its own settling checks and weights; only the walk,
+    # levels and width, is shared by support signature
+    assert p1[0] == p2[0] and p1[0] is not p2[0]
+    assert p1[1] == p2[1] and p1[1] is not p2[1]
+    assert p1[2] is p2[2] and p1[3] == p2[3]
+
+
+def only_plan(ring):
+    (plan,) = ring._scan_plans.values()
+    return plan
+
+
+def test_sign_twists_share_one_walk_and_keep_their_weights():
+    # (a, -b, -c) has the supports of (a, b, c), with weights of the other
+    # sign on the terms of b and c
+    for a, b, c in [(1, 2, 3), (-2, 1, -1), (0, 3, 1)]:
+        rings = [build_ring(bott_tower_3(a, b, c)), build_ring(bott_tower_3(a, -b, -c))]
+        for ring in rings:
+            list(_scan(ring, {2: ring.one()}, range(-1, 2)))
+        p, q = map(only_plan, rings)
+        assert p[2] is q[2] and p[3] == q[3]
+        assert p[0] == q[0] and p[0] is not q[0]
+        assert p[1] is not q[1] and p[1] != q[1]
+
+
+def test_rings_with_other_zero_patterns_get_other_walks():
+    walks = []
+    for abc in [(1, 2, 3), (0, 2, 3), (1, 0, 3), (1, 2, 0), (0, 0, 0)]:
+        ring = build_ring(bott_tower_3(*abc))
+        list(_scan(ring, {2: ring.one()}, range(-1, 2)))
+        walks.append(only_plan(ring)[2])
+    for i, j in combinations(range(len(walks)), 2):
+        assert walks[i] != walks[j], (i, j)
+
+
+def test_shifted_walk_leaves_the_shared_walk_as_it_was():
+    # a shifted walk with a constant piece sets the starts of its checks;
+    # the ring that shares its walk must still walk as the oracle does
+    tower, twist = bott_tower_3(1, -2, 3), bott_tower_3(1, 2, -3)
+    ring, other = build_ring(tower), build_ring(twist)
+    pieces = shaped_pieces(ring)[-1]
+    shift = (2, (1, -1, 2))
+    values = range(-2, 3)
+    got = list(_scan(ring, pieces, values, 0, shift))
+    assert got == brute_force_scan(ring, pieces, 2, values, shift)
+    ((shape, (_, _, levels, _)),) = ring._scan_plans.items()
+    assert all(start == 0 for checks, _, _ in levels for _, start in checks)
+    for pieces in [{2: other.one()}] + shaped_pieces(other):
+        walk_parity(other, pieces, values)
+        for n in (2, 4, 8):
+            walk_parity(other, pieces, range(n), n)
+    assert other._scan_plans[shape][2] is levels
+
+
+def test_shared_walk_parts_are_tuples():
+    ring = build_ring(validate_tower([(1, []), (2, [[1], [-1]]), (1, [[0, 2]])]))
+    list(_scan(ring, {2: ring.one(), 1: ring.gen(1)}, range(-1, 2)))
+    for _, _, levels, width in ring._scan_plans.values():
+        assert isinstance(levels, tuple) and isinstance(width, int)
+        for level in levels:
+            checks, spread, child_width = level
+            assert isinstance(level, tuple) and isinstance(child_width, int)
+            assert isinstance(checks, tuple) and isinstance(spread, tuple)
+            assert all(isinstance(check, tuple) and isinstance(check[0], tuple)
+                       for check in checks)
+            assert all(isinstance(entry, tuple) for entry in spread)
+    supports = (((2, 0), (1, 1)), ((0, 2),))
+    plan = search._plan(supports, 2)
+    assert search._plan(supports, 2) is plan
+    slots, settle, levels, width = plan
+    assert isinstance(slots, tuple) and all(isinstance(s, tuple) for s in slots)
+    assert [len(s) for s in slots] == [2, 1]
+    assert isinstance(settle, tuple) and isinstance(levels, tuple)
+    assert search._plan.cache_info().maxsize is not None  # a bounded cache
 
 
 # -- minors gcd against every maximal minor ------------------------------------------
