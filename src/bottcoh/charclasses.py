@@ -19,7 +19,14 @@ the degree-k component of F_i = G(1), and iota^2 = -1,
     R_i = sum_{s even} (-1)^{s/2} F_i^{(n+1-s)},
     I_i = sum_{s odd} (-1)^{(s-1)/2} F_i^{(n+1-s)}.
 
-So c(T) costs one ring product per stage and p(T) three.
+So p(T) costs three ring products per stage.  For c(T), with P the product
+of the stages below i, P F_i spreads P and the P c_q over the y_i^r, and
+all the P c_q come from one product P S_i with the stacked class
+S_i = sum_q c_q y_i^{q-1}: the y_i-exponent q - 1 < n of a term of P S_i
+survives the rewriting of the lower stages and gives back its q.  So c(T)
+costs at most one ring product per stage, whose pairs number
+|P| sum_q |c_q| rather than |P| sum_q (n + 1 - q) |c_q|.  A zero c_q is
+skipped before its binomials, so CP^n costs O(n) of them, not O(n^2).
 
 Wu classes are solved degree by degree from the pairing identity
 integrate(v_d . x) = integrate(Sq^{2d}(x)) against the monomial basis.
@@ -29,7 +36,10 @@ pairing row itself: Sq(y^e) = prod_j (y_j + y_j^2)^{e_j} has an odd
 coefficient on y^{e+k} exactly when every k_j is a submask of e_j (Lucas'
 theorem), so integrate(Sq^{2d}(y^e)) is the parity of the row entries
 integrate(y^{e+k}) in the columns k that are submasks of e, and v_d = 0
-for d > top // 2.  Rows are packed into ints and eliminated over Z/2.  The
+for d > top // 2.  Exponent vectors are packed into ints with fields wide
+enough for e + g, so each pairing entry is one int add and one lookup of
+a parity cached per call; only a new e + g is normalized.  Rows are packed
+into ints and eliminated over Z/2.  The
 total Stiefel-Whitney class is Sq(v).  The generator sign convention is
 fixed throughout: y_i is minus the first Chern class of the stage's
 tautological line bundle, so any comparison with the opposite convention
@@ -70,31 +80,55 @@ def _check_ring(tower, ring):
     return ring
 
 
-def _stage_terms(ring: BottRing, i: int):
-    """The terms (e, c, s) of F_i = prod_u (1 + y_i + u) (0-based i): the
-    coefficient c on the basis monomial y^e, and s = n_i + 1 - |e|."""
+def _stacked(ring: BottRing, i: int):
+    """The stacked class S_i = sum_q c_q y_i^{q-1} of stage i (0-based) over
+    its nonzero c_q, and the rows C(n + 1 - q, r), r <= n - q, of binomials
+    for q = 0 and those q (n = n_i).  A zero c_q takes no binomial, so CP^n
+    takes n + 1 of them."""
     n = ring.dims[i]
-    one = {(0,) * ring.height: 1}
-    for q, cq in enumerate((one,) + ring.chern[i]):
-        for r in range(n + 1 - q):
-            b = comb(n + 1 - q, r)
+    stacked = {}
+    rows = {0: [comb(n + 1, r) for r in range(n + 1)]}
+    for q, cq in enumerate(ring.chern[i], start=1):
+        if cq:
+            rows[q] = [comb(n + 1 - q, r) for r in range(n + 1 - q)]
             for g, c in cq.items():  # g[i] == 0: c_q lives below stage i
-                yield g[:i] + (r,) + g[i + 1:], b * c, n + 1 - q - r
+                stacked[g[:i] + (q - 1,) + g[i + 1:]] = c
+    return stacked, rows
+
+
+def _spread(out: dict, terms, i: int, rows, shift: int) -> dict:
+    """Add to ``out`` the terms C(n + 1 - q, r) c y^e y_i^r, r <= n - q, of
+    each term c y^e y_i^{q - shift} in ``terms`` (y^e free of y_i), where
+    ``rows[q]`` lists the C(n + 1 - q, r)."""
+    for e, c in terms:
+        head, tail = e[:i], e[i + 1:]
+        for r, b in enumerate(rows[e[i] + shift]):
+            f = head + (r,) + tail
+            out[f] = out.get(f, 0) + b * c
+    return out
 
 
 def tangent_chern(tower, ring: BottRing | None = None) -> CohomologyClass:
     """Total Chern class of the tangent bundle.
 
     The product over stages i of F_i = prod_u (1 + y_i + u) over the summand
-    roots u, each F_i read from the stage table as
-    sum_{q, r <= n_i - q} C(n_i + 1 - q, r) c_q y_i^r: one ring product per
-    stage after the first.
+    roots u, F_i = sum_{q, r <= n_i - q} C(n_i + 1 - q, r) c_q y_i^r.  With P
+    the product of the stages below i, P F_i spreads P and the P c_q over
+    the y_i^r, and every P c_q comes from one class product P S_i with the
+    stacked class S_i = sum_q c_q y_i^{q-1}: rewriting a y_j with j < i
+    leaves the y_i-exponent alone and q - 1 < n_i, so the y_i-exponent of
+    each term of P S_i gives back its q.  At most one ring product per
+    stage, and none where every c_q vanishes.
     """
     ring = _check_ring(tower, ring)
-    return reduce(mul, (
-        CohomologyClass(ring, {e: c for e, c, _ in _stage_terms(ring, i)})
-        for i in range(ring.height)
-    ))
+    total = ring.one()
+    for i in range(ring.height):
+        stacked, rows = _stacked(ring, i)
+        terms = _spread({}, total.items(), i, rows, 0)
+        if stacked:
+            _spread(terms, (total * CohomologyClass(ring, stacked)).items(), i, rows, 1)
+        total = CohomologyClass(ring, {e: c for e, c in terms.items() if c})
+    return total
 
 
 def tangent_pontrjagin(tower, ring: BottRing | None = None) -> CohomologyClass:
@@ -104,13 +138,18 @@ def tangent_pontrjagin(tower, ring: BottRing | None = None) -> CohomologyClass:
     Stage i contributes G(iota) G(-iota) = R_i^2 + I_i^2 for
     G(z) = prod_u (z + y_i + u) and iota^2 = -1, where R_i and I_i sum the
     components F_i^{(n_i+1-s)} of F_i = G(1) with s even and s odd, signed
-    by (-1)^{floor(s/2)}: at most three ring products per stage.
+    by (-1)^{floor(s/2)}: at most three ring products per stage.  F_i is
+    the spread of 1 and of the stacked class S_i, with no product.
     """
     ring = _check_ring(tower, ring)
+    one = [((0,) * ring.height, 1)]
     factors = []
-    for i in range(ring.height):
+    for i, n in enumerate(ring.dims):
+        stacked, rows = _stacked(ring, i)
+        stage = _spread(_spread({}, one, i, rows, 0), stacked.items(), i, rows, 1)
         parts = ({}, {})  # R_i, I_i
-        for e, c, s in _stage_terms(ring, i):
+        for e, c in stage.items():
+            s = n + 1 - sum(e)
             parts[s & 1][e] = -c if s & 2 else c
         real, imag = (CohomologyClass(ring, part) for part in parts)
         factors.append(real * real + imag * imag)
@@ -173,7 +212,10 @@ def wu_classes(tower) -> CohomologyClass:
     degree d with every binomial(e_j, k_j) odd, which by Lucas' theorem
     means every k_j is a submask of e_j: the parity of the row's entries in
     those columns, read from the row with no second integral.  Exponent
-    vectors packed one bit field per coordinate make the test one AND.
+    vectors packed one bit field per coordinate make the test one AND, and
+    with fields of (2 n_j).bit_length() bits pack(e) + pack(g) carries
+    nothing, so it keys the parity of integrate(y^{e+g}): each entry is one
+    int add and one lookup, and each distinct e + g is normalized once.
     Such k satisfy |k| <= |e| = top - d, so for d > top // 2 the right-hand
     side vanishes and v_d = 0; the pairings of those degrees are transposes
     of the ones solved, so every pairing is still checked for
@@ -182,20 +224,21 @@ def wu_classes(tower) -> CohomologyClass:
     ring = build_ring(tower, 2)
     top = ring.top_degree
     top_mono = ring._top
-    cache = ring._nf_cache
     nf = ring._monomial_nf
     # pack(k) & pack(e) == pack(k) exactly when every k_j is a submask of
-    # e_j; normal forms over Z/2 are only congruent mod 2, so the top
-    # coefficient is read by its parity
+    # e_j, and pack(e) + pack(g) == pack(e + g) since e_j + g_j <= 2 n_j
+    # fits its field; normal forms over Z/2 are only congruent mod 2, so
+    # the top coefficient is read by its parity
     shifts = []
     width = 0
     for n in ring.dims:
         shifts.append(width)
-        width += n.bit_length()
+        width += (2 * n).bit_length()
 
     def pack(e):
         return sum(map(lshift, e, shifts))
 
+    parity = {}
     terms = {(0,) * ring.height: 1}
     for d in range(1, top // 2 + 1):  # v component in H^{2d}
         comp = ring.basis(d)
@@ -206,11 +249,11 @@ def wu_classes(tower) -> CohomologyClass:
             packed = pack(e)
             row = odd = 0
             for g, k, bit in cols:
-                f = tuple(map(add, e, g))
-                r = cache.get(f)
-                if r is None:
-                    r = nf(f)
-                if r.get(top_mono, 0) & 1:
+                odd_entry = parity.get(packed + k)
+                if odd_entry is None:
+                    odd_entry = parity[packed + k] = (
+                        nf(tuple(map(add, e, g))).get(top_mono, 0) & 1)
+                if odd_entry:
                     row |= bit
                     if k & packed == k:
                         odd ^= 1

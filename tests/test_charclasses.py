@@ -143,6 +143,60 @@ def test_tangent_classes_match_sympy_oracle(rng):
         assert class_terms(tangent_pontrjagin(tower)) == pontrjagin, tower
 
 
+def test_tangent_classes_with_a_vanishing_middle_chern_class(rng):
+    # stage 2 has c_1 = 3 y_1, c_2 = 0 and c_3 = -4 y_1^3: the stacked
+    # class of the Chern product skips the zero layer, and the y_2-exponent
+    # of its product must still give back each q
+    tower = validate_tower([(3, []), (3, [[2], [2], [-1]])])
+    ring = build_ring(tower)
+    assert ring.chern[1] == ({(1, 0): 3}, {}, {(3, 0): -4})
+    chern, pontrjagin = root_by_root_tangent_classes(ring)
+    assert tangent_chern(tower, ring) == chern
+    assert tangent_pontrjagin(tower, ring) == pontrjagin
+    assert (class_terms(chern), class_terms(pontrjagin)) == sympy_tangent_classes(tower)
+    # seeded towers of height 1 to 3 with a fiber of dimension 4
+    towers = 0
+    for height in range(1, 4):
+        for dims in iproduct(range(1, 5), repeat=height):
+            if max(dims) < 4:
+                continue
+            tower = validate_tower([
+                (n, [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)])
+                for k, n in enumerate(dims)
+            ])
+            ring = build_ring(tower)
+            chern, pontrjagin = root_by_root_tangent_classes(ring)
+            assert tangent_chern(tower, ring) == chern, tower
+            assert tangent_pontrjagin(tower, ring) == pontrjagin, tower
+            towers += 1
+    assert towers == 1 + 7 + 37
+
+
+def test_tangent_classes_take_no_binomials_for_zero_chern_classes(monkeypatch):
+    # every Chern root of CP^64 is zero, so only c_0 = 1 is spread over the
+    # powers of y_1: n + 1 binomials per class, not one per (q, r)
+    n = 64
+    tower = product_tower((n,))
+    ring = build_ring(tower)
+    comb = charclasses.comb
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    monkeypatch.setattr(charclasses, "comb", counted)
+    chern = tangent_chern(tower, ring)
+    assert len(calls) <= n + 1
+    calls.clear()
+    pontrjagin = tangent_pontrjagin(tower, ring)
+    assert len(calls) <= n + 1
+    monkeypatch.undo()
+    y = ring.gen(1)
+    assert chern == (ring.one() + y) ** (n + 1)
+    assert pontrjagin == (ring.one() + y * y) ** (n + 1)
+
+
 def test_steenrod_square_examples():
     r = build_ring(product_tower((2,)), 2)
     one = r.one()
@@ -237,6 +291,22 @@ def test_wu_classes_match_brute_force_oracle(rng):
                 )
         towers += 1
     assert towers == 139
+
+
+def test_wu_classes_match_brute_force_oracle_on_wide_fibers(rng):
+    # exponents e_j + g_j up to 2 n_j: the packed fields must not carry on
+    # fibers past the seeded corpus
+    towers = [
+        product_tower((16,)),
+        product_tower((8, 8)),
+        validate_tower([(4, []), (4, [[1], [2], [-1], [0]])]),
+        validate_tower([
+            (n, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)])
+            for k, n in enumerate((5, 2, 4))
+        ]),
+    ]
+    for tower in towers:
+        assert wu_classes(tower) == brute_force_wu_classes(tower), tower
 
 
 def test_solve_mod_matches_elimination_on_lists(rng):
