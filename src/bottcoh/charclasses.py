@@ -19,9 +19,11 @@ the degree-k component of F_i = G(1), and iota^2 = -1,
     R_i = sum_{s even} (-1)^{s/2} F_i^{(n+1-s)},
     I_i = sum_{s odd} (-1)^{(s-1)/2} F_i^{(n+1-s)}.
 
-So p(T) costs three ring products per stage.  For c(T), with P the product
-of the stages below i, P F_i spreads P and the P c_q over the y_i^r, and
-all the P c_q come from one product P S_i with the stacked class
+So p(T) costs three ring products per stage, and none on a stage whose
+c_q all vanish: there y_i^{n+1} = 0, and the factor is
+(1 + y_i^2)^{n+1} = sum_{2k<=n} C(n+1, k) y_i^{2k}.  For c(T), with P the
+product of the stages below i, P F_i spreads P and the P c_q over the
+y_i^r, and all the P c_q come from one product P S_i with the stacked class
 S_i = sum_q c_q y_i^{q-1}: the y_i-exponent q - 1 < n of a term of P S_i
 survives the rewriting of the lower stages and gives back its q.  So c(T)
 costs at most one ring product per stage, whose pairs number
@@ -139,13 +141,21 @@ def tangent_pontrjagin(tower, ring: BottRing | None = None) -> CohomologyClass:
     G(z) = prod_u (z + y_i + u) and iota^2 = -1, where R_i and I_i sum the
     components F_i^{(n_i+1-s)} of F_i = G(1) with s even and s odd, signed
     by (-1)^{floor(s/2)}: at most three ring products per stage.  F_i is
-    the spread of 1 and of the stacked class S_i, with no product.
+    the spread of 1 and of the stacked class S_i, with no product.  A stage
+    whose c_q all vanish, such as CP^n, has y_i^{n_i+1} = 0 and its factor
+    is (1 + y_i^2)^{n_i+1} = sum_{2k <= n_i} C(n_i + 1, k) y_i^{2k}, read
+    off the binomials of c_0 with no product.
     """
     ring = _check_ring(tower, ring)
     one = [((0,) * ring.height, 1)]
     factors = []
     for i, n in enumerate(ring.dims):
         stacked, rows = _stacked(ring, i)
+        if not stacked:  # every c_q is zero: n + 1 roots y_i, and y_i^(n+1) = 0
+            head, tail = (0,) * i, (0,) * (ring.height - 1 - i)
+            factors.append(CohomologyClass(ring, {
+                head + (2 * k,) + tail: rows[0][k] for k in range(n // 2 + 1)}))
+            continue
         stage = _spread(_spread({}, one, i, rows, 0), stacked.items(), i, rows, 1)
         parts = ({}, {})  # R_i, I_i
         for e, c in stage.items():

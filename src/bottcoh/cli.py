@@ -33,9 +33,10 @@ from .towers import load_bundle, load_tower
 
 # rank prod(n_i + 1) up to which ``ring``, ``classes`` and ``iso-search``
 # build a ring: the Wu solve of ``classes`` on a height-12 Bott tower (rank
-# 4096) takes about 13 s and 90 MB, and each further stage at least doubles
-# both; a search compiles the degree-2 basis whatever its bound, m(m + 1)/2
-# monomials of length m on a Bott tower of height m
+# 4096) takes 2.4 to 5.0 s and 90 to 100 MB (two towers, Python 3.11 on an
+# Intel Xeon core), and each further stage at least doubles both; a search
+# compiles the degree-2 basis whatever its bound, m(m + 1)/2 monomials of
+# length m on a Bott tower of height m
 MAX_RANK = 4096
 
 

@@ -61,34 +61,18 @@ def clear_row(entries: list[int], cols: list) -> tuple[int, list]:
 
 
 def minors_gcd(rows: list[tuple[int, ...]], ncols: int) -> int:
-    """gcd of all maximal (len(rows) x len(rows)) minors of a short wide matrix.
+    """gcd of the maximal minors of a one-row matrix, its first ``ncols``
+    entries; 0 when every one vanishes.
 
-    Returns 0 when every minor vanishes.  Any completion of the rows to a
-    square integer matrix has determinant divisible by this gcd, which makes
-    it a cheap unimodularity prune during row-by-row search.
-
-    Unimodular column operations keep the gcd of the maximal minors, so
-    clearing each row in turn (:func:`clear_row`) on the columns not yet
-    used brings the rows to lower-triangular form [L | 0], whose only
-    nonzero maximal minor is det L: the gcd is the product of the diagonal,
-    or 0 once a row has nothing left to the right of the columns already
-    used (short rank).  The last row need not be cleared: its diagonal
-    entry would be the gcd of its entries in the unused columns, so a
-    single row, the shape the isomorphism search prunes with, takes the
-    gcd of its first ``ncols`` entries at once.
+    Any completion of the row to a square integer matrix has determinant
+    divisible by this gcd, which makes it a cheap unimodularity prune.  The
+    isomorphism search prunes with a single row: it carries a unimodular
+    column transform that clears the rows fixed so far (:func:`clear_row`),
+    and the gcd of the maximal minors of the whole prefix is that of the
+    candidate row's free entries after the transform.
     """
-    if not rows:
-        return 1
-    if len(rows) == 1:
-        return gcd(*rows[0][:ncols])
-    cols = [[row[c] for row in rows] for c in range(ncols)]
-    g = 1
-    for i in range(len(rows) - 1):
-        entry, cols[i:] = clear_row([col[i] for col in cols[i:]], cols[i:])
-        if not entry:
-            return 0
-        g *= abs(entry)
-    return g * gcd(*(col[-1] for col in cols[len(rows) - 1:]))
+    (row,) = rows
+    return gcd(*row[:ncols])
 
 
 def solve_mod(rows: list[int], rhs: list[int]) -> list[int]:

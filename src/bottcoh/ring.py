@@ -589,9 +589,9 @@ def image_of_terms(target: BottRing, images, terms: dict) -> CohomologyClass:
     sends y'_j to the class ``images[j]`` of ``target``.
 
     ``images`` is a sequence or a mapping; its entries for variables that
-    do not occur in ``terms`` are never read, which lets searches verify
-    relations stage by stage and map only the generators a relation
-    involves.
+    do not occur in ``terms`` are never read, which lets the isomorphism
+    search map only the generators that the Chern classes of a stage
+    involve.
     """
     one = {(0,) * target.height: 1}
     mul = target._raw_mul

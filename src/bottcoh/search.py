@@ -14,20 +14,19 @@ find.  The ring is free over Z, so an integer class vanishes over Q exactly
 when it vanishes over Z.
 
 The expression is one polynomial in b per basis monomial, linear in the
-pieces.  The scan structure (which polynomials can occur, their supports,
-their integer weights and the walk over them) is compiled once per ring and
-shape of the pieces of positive exponent and kept on the ring; it holds no
+pieces, which all have a positive exponent: every caller's expression
+vanishes at b = 0.  The scan structure (which polynomials can occur, their
+supports, their integer weights and the walk over them) is compiled once
+per ring and shape of the pieces and kept on the ring; it holds no
 modulus.  Only the weights are the ring's own: the walk reads the supports
 alone, so rings whose polynomials have the same supports (a tower and its
 sign twists, say) take one immutable walk, shared by support signature from
-a bounded module-level cache.  A constant piece takes no slot: its
-coefficient on a monomial is where that monomial's polynomial starts at its
-settling check.  Each call fills the structure with the pieces' integer
-coefficients and then walks the box depth-first, one coordinate at a time,
-reducing by the modulus of the walk.  A walk over Z may substitute the
-affine coordinates z_j = s b_j + l_j (s > 0) for b_j, and then solves the
-expression less the value at z = l of its pieces of positive exponent; it
-still yields b, in the same order.
+a bounded module-level cache.  Each call fills the structure with the
+pieces' integer coefficients and then walks the box depth-first, one
+coordinate at a time, reducing by the modulus of the walk.  A walk over Z
+may substitute the affine coordinates z_j = s b_j + l_j (s > 0) for b_j,
+and then solves the expression less its value at z = l, which starts each
+polynomial's check; it still yields b, in the same order.
 Fixing b_j substitutes it into the polynomials once for all the vectors
 that share the prefix b_1..b_j (shared substitution), and a polynomial that
 involves no coordinate after b_j is then a constant: a nonzero one rejects
@@ -88,8 +87,7 @@ from .ring import (
 
 
 def _compile(ring: BottRing, shape):
-    """Scan structure shared by every call whose pieces of exponent t >= 1
-    have this shape.
+    """Scan structure shared by every call whose pieces have this shape.
 
     ``shape`` lists, per exponent t >= 1, the degrees that pieces[t]
     occupies.  By the multinomial theorem the coefficient of z^alpha on the
@@ -99,23 +97,19 @@ def _compile(ring: BottRing, shape):
 
     linear in the pieces.  Taking every basis monomial beta of those
     degrees gives each polynomial's possible support, and so a plan that
-    every piece of the shape can be filled into.  The constant piece
-    pieces[0] takes no slot: its coefficient on mu is where the polynomial
-    of mu starts at its settling check.
+    every piece of the shape can be filled into.
 
-    Returns ``(settle, table, levels, width)``: ``settle[mu]`` is the
-    (level, check) pair that settles the polynomial of mu, and a monomial
-    with no key lies outside every polynomial; ``table[t, beta]`` lists the
-    (root slot, weight) pairs that pieces[t][beta] adds to; ``levels`` and
-    ``width`` are the walk of :func:`_plan`.  The settling checks and the
-    weights are this ring's; the walk is shared by support signature, the
-    alphas of each polynomial in order together with m, which is all that
-    :func:`_plan` reads, so rings whose polynomials differ only in their
-    weights take the same ``levels`` object.  A weight is the integer
+    Returns ``(table, levels, width)``: ``table[t, beta]`` lists the (root
+    slot, weight) pairs that pieces[t][beta] adds to; ``levels`` and
+    ``width`` are the walk of :func:`_plan`.  The weights are this ring's;
+    the walk is shared by support signature, the alphas of each polynomial
+    in order together with m, which is all that :func:`_plan` reads, so
+    rings whose polynomials differ only in their weights take the same
+    ``levels`` object.  A weight is the integer
     multinomial(alpha) * NF(y^(beta + alpha))[mu], never reduced, so the
     plan serves a walk modulo any n (a weight that vanishes mod n only
     keeps a term that adds zero).  Nothing in the plan depends on the
-    largest exponent of a call, on its constant piece or on its shift.
+    largest exponent of a call or on its shift.
     """
     m = ring.height
     polys: dict = {}  # mu -> alpha -> [(t, beta, weight)]
@@ -134,14 +128,13 @@ def _compile(ring: BottRing, shape):
                 for mu, c in ring._monomial_nf(e).items():
                     polys.setdefault(mu, {}).setdefault(alpha, []).append(
                         (t, beta, mult * c))
-    signature = tuple(tuple(poly) for poly in polys.values())
-    slots, settle, levels, width = _plan(signature, m)
+    slots, levels, width = _plan(tuple(tuple(poly) for poly in polys.values()), m)
     table: dict = {}
     for poly, slot in zip(polys.values(), slots):
         for entries, s in zip(poly.values(), slot):
             for t, beta, w in entries:
                 table.setdefault((t, beta), []).append((s, w))
-    return dict(zip(polys, settle)), table, levels, width
+    return table, levels, width
 
 
 @lru_cache(maxsize=128)
@@ -165,22 +158,19 @@ def _plan(polys: tuple, m: int):
     tails with k >= 1 and those settled at this level.
 
     Returns the slot map, per polynomial the root slot of each of its
-    alphas in order, the settling check of each polynomial as a pair
-    (level, index into that level's ``checks``), the levels, per level
-    ``(checks, spread, width)``, and the root's number of slots.  ``checks``
-    holds, per polynomial settled there, the pair (terms, start): its value
-    is start plus the sum of coeff * v^k over its (slot, k) terms, and the
-    start is 0 here, for a call to set from its constant piece and shift;
-    ``spread`` holds the (slot, child slot, k) multiply-adds, all of k >= 1,
-    that add to the child's copied slots; ``width`` is the child's number
-    of slots.
+    alphas in order, the levels, per level ``(checks, spread, width)``, and
+    the root's number of slots.  ``checks`` holds, per polynomial settled
+    there, the pair (terms, start): its value is start plus the sum of
+    coeff * v^k over its (slot, k) terms, and the start is 0 here, for a
+    shifted walk to set in its own copy of the levels; ``spread`` holds the
+    (slot, child slot, k) multiply-adds, all of k >= 1, that add to the
+    child's copied slots; ``width`` is the child's number of slots.
     """
     last = [max(j for a in poly for j, e in enumerate(a) if e) for poly in polys]
     terms = [(p, a) for p, poly in enumerate(polys) for a in poly]
     # built from the last level down, a slot is (k, its child slot) or, at
     # the settling level, (k, -1 - p): small keys, no tuple slicing
     slot = [-1 - p for p, _ in terms]
-    settle = [None] * len(polys)
     levels = []
     width = 0
     for j in range(m - 1, -1, -1):
@@ -196,25 +186,24 @@ def _plan(polys: tuple, m: int):
                 checks.setdefault(child, []).append((s, k))
             elif k:
                 spread.append((s, child, k))
-        for c, child in enumerate(checks):
-            settle[-1 - child] = (j, c)
         levels.append((tuple((tuple(pairs), 0) for pairs in checks.values()),
                        tuple(spread), width))
         width = len(index)
     slots: list[list] = [[] for _ in polys]
     for (p, _), s in zip(terms, slot):
         slots[p].append(s)
-    return tuple(map(tuple, slots)), tuple(settle), tuple(reversed(levels)), width
+    return tuple(map(tuple, slots)), tuple(reversed(levels)), width
 
 
 def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     """Generate every nonzero b in values^m, in lexicographic order, with
 
-        pieces[0] + sum_(t>=1) pieces[t] * (h_z^t - h_l^t) == 0 (mod ``mod``)
+        sum_(t>=1) pieces[t] * (h_z^t - h_l^t) == 0 (mod ``mod``)
 
     in a ring over Z, h_z = sum_j z_j y_j, where z_j = s * b_j + l_j for
     ``shift`` = (s, l) with s > 0, and z = b, l = 0 without one: an
-    unshifted walk solves sum_t pieces[t] * h_b^t == 0.
+    unshifted walk solves sum_t pieces[t] * h_b^t == 0.  ``pieces`` maps
+    exponents t >= 1 to classes; no caller has a constant piece.
 
     ``values`` lists the coefficients tried per coordinate, in order: a
     bounded search passes range(-bound, bound + 1), a count over Z/n passes
@@ -222,50 +211,39 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     the caller names it, and a walk mod n gives what the same scan of the
     ring over Z/n would give.  A shifted walk is over Z (``mod`` 0), where
     the isomorphism search uses it for its depressed stage relations (see
-    :func:`_stage_relation`): the value at z = l of its pieces t >= 1 is
-    minus the constant that each depressed relation leaves out.  z_j is
+    :func:`_stage_relation`): the value at z = l of its pieces is minus
+    the constant that each depressed relation leaves out.  z_j is
     increasing in b_j, so the order is kept.  Pieces above the top degree
     add zero.
 
     The scan structure is compiled once per ring and shape of the pieces
-    of exponent t >= 1 (see :func:`_compile`) and kept on the ring,
-    whatever the modulus, constant piece or shift, its walk shared by
-    support signature with other rings; each call fills the
-    root's coefficients from those pieces (reduced mod n in a walk mod n),
-    starts each polynomial's settling check at its coefficient in the
-    constant piece, less, in a walk with l != 0, the polynomial's value at
-    z = l, read along the walk's own path b = 0 in one pass over the
-    levels, and walks the polynomials depth-first over the
-    coordinates, with an explicit stack, in the order of ``values`` at each
-    level.  A nonzero constant on a monomial outside every polynomial ends
-    the walk before it starts.  A node is a prefix b_1..b_j with the
-    coefficients of the polynomials still in play after substituting
-    z_1..z_j (see :func:`_plan`); a child, also on the path b = 0, is the
-    slice of the node's first ``width`` slots, the terms free of z_j, plus
-    one multiply-add per ``spread`` entry, a term in z_j^k with k >= 1.  A
-    polynomial settled by the child's coordinate must vanish (mod
-    n in a walk mod n), else the child and its whole subtree are skipped;
-    once settled it is dropped.  At the last coordinate every remaining
-    polynomial is univariate and settles, so a leaf is a solution exactly
-    when all of them vanish.  The walk is lazy: it advances only as far as
-    its consumer takes vectors.
+    (see :func:`_compile`) and kept on the ring, whatever the modulus or
+    shift, its walk shared by support signature with other rings; each
+    call fills the root's coefficients from the pieces (reduced mod n in a
+    walk mod n).  A walk with l != 0 reads each polynomial's value at z = l
+    along its own path b = 0, in one pass over the levels that starts each
+    settling check at minus that value in a copy of the levels for this
+    call.  It then walks the polynomials depth-first over the coordinates,
+    with an explicit stack, in the order of ``values`` at each level.  A
+    node is a prefix b_1..b_j with the coefficients of the polynomials
+    still in play after substituting z_1..z_j (see :func:`_plan`); a child,
+    also on the path b = 0, is the slice of the node's first ``width``
+    slots, the terms free of z_j, plus one multiply-add per ``spread``
+    entry, a term in z_j^k with k >= 1.  A polynomial settled by the
+    child's coordinate must vanish (mod n in a walk mod n), else the child
+    and its whole subtree are skipped; once settled it is dropped.  At the
+    last coordinate every remaining polynomial is univariate and settles,
+    so a leaf is a solution exactly when all of them vanish.  The walk is
+    lazy: it advances only as far as its consumer takes vectors.
     """
     m = ring.height
     live = {t: piece for t, piece in sorted(pieces.items())
-            if 0 <= t <= ring.top_degree and not piece.is_zero()}
-    constant = live.pop(0, {})
+            if t <= ring.top_degree and not piece.is_zero()}
     shape = tuple((t, tuple(piece.degrees())) for t, piece in live.items())
     plan = ring._scan_plans.get(shape)
     if plan is None:
         plan = ring._scan_plans[shape] = _compile(ring, shape)
-    settle, table, levels, width = plan
-    starts = {}
-    for mu, c in constant.items():
-        at = settle.get(mu)
-        if at is not None:
-            starts[at] = c
-        elif not mod or c % mod:
-            return  # a nonzero constant polynomial: no b solves it
+    table, levels, width = plan
     root = [0] * width
     for t, piece in live.items():
         for beta, c in piece.items():
@@ -276,28 +254,23 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     scale, lift = shift or (1, (0,) * m)
     top = max(live, default=0)
     if any(lift):
-        # each settling check starts less its polynomial's value at z = l,
-        # read along the one path b = 0 in a pass over the levels
-        coeffs = root
-        for j, ((checks, spread, child_width), l) in enumerate(zip(levels, lift)):
+        # each settling check starts at minus its polynomial's value at
+        # z = l, read along the one path b = 0 in a pass over the levels
+        coeffs, shifted = root, []
+        for (checks, spread, child_width), l in zip(levels, lift):
             pw = _powers((0,), scale, l, top)[0]
-            for i, (terms, _) in enumerate(checks):
+            starts = []
+            for terms, _ in checks:
                 value = 0
                 for s, k in terms:
-                    value += coeffs[s] * pw[k]
-                if value:
-                    starts[j, i] = starts.get((j, i), 0) - value
+                    value -= coeffs[s] * pw[k]
+                starts.append((terms, value))
+            shifted.append((starts, spread, child_width))
             child = coeffs[:child_width]
             for s, cs, k in spread:
                 child[cs] += coeffs[s] * pw[k]
             coeffs = child
-    if starts:
-        levels = list(levels)
-        for j in {j for j, _ in starts}:
-            checks, spread, child_width = levels[j]
-            checks = [(terms, starts.get((j, i), 0))
-                      for i, (terms, _) in enumerate(checks)]
-            levels[j] = checks, spread, child_width
+        levels = shifted
     values = tuple(values)
     powers = [_powers(values, scale, l, top) for l in lift]
     stack = [((), root)]

@@ -150,9 +150,8 @@ def brute_force_scan(ring, pieces, tmax, values, shift=None) -> list:
     """All nonzero b in values^m, in lexicographic order, with
     sum_t pieces[t] * (sum_j z_j y_j)^t == 0, by Horner's rule in the ring,
     where z = b; or, for ``shift`` = (s, l), z_j = s * b_j + l_j and the
-    expression less its value at z = l without the constant piece, which
-    is sum_t pieces[t] * (h^t - L^t) + pieces[0] for h and L the linear
-    classes of z and l."""
+    expression less its value at z = l, sum_t pieces[t] * (h^t - L^t) for
+    h and L the linear classes of z and l."""
     zero = ring.zero()
     piece_list = [pieces.get(t, zero) for t in range(tmax + 1)]
     scale, lift = shift or (1, (0,) * ring.height)
@@ -163,7 +162,7 @@ def brute_force_scan(ring, pieces, tmax, values, shift=None) -> list:
             acc = acc * h + piece_list[t]
         return acc
 
-    offset = horner(ring.linear_class(lift)) - piece_list[0]
+    offset = horner(ring.linear_class(lift))
     out = []
     for vec in product(values, repeat=ring.height):
         if not any(vec):

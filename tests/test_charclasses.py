@@ -174,27 +174,74 @@ def test_tangent_classes_with_a_vanishing_middle_chern_class(rng):
 
 def test_tangent_classes_take_no_binomials_for_zero_chern_classes(monkeypatch):
     # every Chern root of CP^64 is zero, so only c_0 = 1 is spread over the
-    # powers of y_1: n + 1 binomials per class, not one per (q, r)
+    # powers of y_1: n + 1 binomials per class, not one per (q, r), and no
+    # class product; the Pontrjagin factor (1 + y^2)^(n+1) is read off the
+    # same binomials C(n + 1, k)
     n = 64
     tower = product_tower((n,))
     ring = build_ring(tower)
-    comb = charclasses.comb
-    calls = []
+    comb, raw_mul = charclasses.comb, BottRing._raw_mul
+    calls, products = [], []
 
     def counted(a, b):
         calls.append((a, b))
         return comb(a, b)
 
+    def counting_mul(ring, a, b):
+        products.append(ring)
+        return raw_mul(ring, a, b)
+
     monkeypatch.setattr(charclasses, "comb", counted)
+    monkeypatch.setattr(BottRing, "_raw_mul", counting_mul)
     chern = tangent_chern(tower, ring)
-    assert len(calls) <= n + 1
+    assert len(calls) <= n + 1 and not products
     calls.clear()
     pontrjagin = tangent_pontrjagin(tower, ring)
-    assert len(calls) <= n + 1
+    assert len(calls) <= n + 1 and not products
     monkeypatch.undo()
     y = ring.gen(1)
     assert chern == (ring.one() + y) ** (n + 1)
     assert pontrjagin == (ring.one() + y * y) ** (n + 1)
+
+
+def chern_free_stage_towers(rng):
+    """Towers with stages whose c_q all vanish: roots +-a y_1 over CP^1
+    (y_1^2 = 0), alone, in the middle of a tower and at its top, and
+    seeded towers of height 2 to 4 whose later stages are, at random, a
+    product with CP^n, roots +-a y_1 or rows of random entries."""
+    towers = [
+        validate_tower([(1, []), (2, [[1], [-1]])]),
+        validate_tower([(1, []), (2, [[1], [-1]]), (1, [[1, 2]])]),
+        validate_tower([(1, []), (3, [[2], [-2], [0]]), (2, [[1, 1], [0, -1]])]),
+        validate_tower([(2, []), (1, [[1]]), (2, [[0, 0], [0, 0]])]),
+    ]
+    while len(towers) < 24:
+        stages = [(1, [])]
+        for k in range(1, rng.randint(2, 4)):
+            kind = rng.choice(["product", "pm", "random"])
+            n = rng.randint(2, 3) if kind == "pm" else rng.randint(1, 3)
+            rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            if kind == "product":
+                rows = [[0] * k for _ in range(n)]
+            elif kind == "pm":
+                a = rng.choice((1, -1, 2, 3))
+                rows = [[a] + [0] * (k - 1), [-a] + [0] * (k - 1)]
+                rows += [[0] * k for _ in range(n - 2)]
+            stages.append((n, rows))
+        towers.append(validate_tower(stages))
+    return towers
+
+
+def test_pontrjagin_of_chern_free_stages_matches_oracles(rng):
+    free = 0
+    for tower in chern_free_stage_towers(rng):
+        ring = build_ring(tower)
+        free += sum(not any(cq) for cq in ring.chern[1:])
+        chern, pontrjagin = root_by_root_tangent_classes(ring)
+        assert tangent_pontrjagin(tower, ring) == pontrjagin, tower
+        if tower.total_complex_dim() <= 5:
+            assert class_terms(pontrjagin) == sympy_tangent_classes(tower)[1], tower
+    assert free >= 12, free
 
 
 def test_steenrod_square_examples():

@@ -1,6 +1,8 @@
 import random
 from itertools import combinations
 from itertools import product as iproduct
+from math import factorial, prod
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -220,20 +222,20 @@ def test_iso_search_first_witness_is_lex_minimal():
 # -- scan parity against the per-vector oracle ---------------------------------
 
 
-def walk_parity(ring, pieces, values, mod=0):
+def walk_parity(ring, pieces, values, mod=0, shift=None):
     """The walk of the integer ``ring`` modulo ``mod`` (0 for none) agrees
-    with the oracle on the ring over Z/mod (over Z for 0), the pieces
-    carried over; returns the hits."""
+    with the oracle on the ring over Z/mod (over Z for 0), the pieces and
+    the shift carried over; returns the hits."""
     oracle = build_ring(ring.tower, mod)
     carried = {t: oracle.from_terms(dict(p.items())) for t, p in pieces.items()}
-    expected = brute_force_scan(oracle, carried, max(pieces, default=0), values)
-    got = list(_scan(ring, pieces, values, mod))
-    assert got == expected, (mod, ring, pieces, values)
+    expected = brute_force_scan(oracle, carried, max(pieces, default=0), values, shift)
+    got = list(_scan(ring, pieces, values, mod, shift))
+    assert got == expected, (mod, ring, pieces, values, shift)
     return got
 
 
-def scan_parity(ring, pieces, bound, mod=0):
-    return walk_parity(ring, pieces, range(-bound, bound + 1), mod)
+def scan_parity(ring, pieces, bound, mod=0, shift=None):
+    return walk_parity(ring, pieces, range(-bound, bound + 1), mod, shift)
 
 
 @pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
@@ -265,7 +267,7 @@ def test_scan_vanishing_expression_hits_every_vector(mod):
     ring = build_ring(hirzebruch(1))
     every = [v for v in iproduct(range(-2, 3), repeat=2) if any(v)]
     assert scan_parity(ring, {}, 2, mod) == every
-    assert scan_parity(ring, {t: ring.zero() for t in range(3)}, 2, mod) == every
+    assert scan_parity(ring, {t: ring.zero() for t in range(1, 3)}, 2, mod) == every
     # h^3 lands above the top degree, so it is zero for every h
     assert scan_parity(ring, {3: ring.one()}, 2, mod) == every
 
@@ -275,31 +277,29 @@ def test_scan_matches_oracle_with_gaps_in_t(mod):
     ring = build_ring(bott_tower_3(1, -2, 3))
     y1, y2, y3 = ring.gens()
     cases = [
-        {2: ring.one(), 0: -(y1 * y2)},
         {3: ring.one(), 1: -(y1 * y2)},
-        {2: y1, 0: y1 * y2 * y3},
         {3: y1, 1: y1 * y2 * y3},
         {4: ring.one(), 1: y1 * y2},
+        {4: ring.one(), 2: y1 - y3, 1: y2 * y3},
     ]
     for pieces in cases:
         scan_parity(ring, pieces, 2, mod)
-    # a nonzero constant polynomial, also behind a zero piece at the
-    # highest key, rules out every vector
-    for pieces in ({0: y1 * y3}, {0: y1 * y3, 3: ring.zero()}):
-        assert scan_parity(ring, pieces, 2, mod) == []
+        # a shifted walk starts its checks at nonzero values
+        scan_parity(ring, pieces, 2, mod, (2, (1, 0, -1)))
 
 
 @pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
 def test_scan_rejects_at_the_first_coordinate(mod):
-    # h y2 y3 = b1 y1 y2 y3 in (CP^1)^3: the only polynomial, b1 - 1,
-    # involves b1 alone and is settled by the first coordinate
-    ring = build_ring(product_tower((1, 1, 1)))
-    y1, y2, y3 = ring.gens()
-    hits = scan_parity(ring, {1: y2 * y3, 0: -(y1 * y2 * y3)}, 2, mod)
+    # h^2 y2 y3 = z1^2 y1^2 y2 y3 in CP^2 x (CP^1)^2: shifted by z1 = b1 + 1,
+    # the only polynomial, (b1 + 1)^2 - 1, starts at -1, involves b1 alone
+    # and is settled by the first coordinate
+    ring = build_ring(product_tower((2, 1, 1)))
+    _, y2, y3 = ring.gens()
+    hits = scan_parity(ring, {2: y2 * y3}, 2, mod, (1, (1, 0, 0)))
     firsts = {v[0] for v in hits}
-    assert firsts and firsts <= {-1, 1}
-    # every completion b2, b3 of an accepted b1 is a hit
-    assert len(hits) == 25 * len(firsts)
+    assert firsts == ({-2, 0} if mod == 0 else {-2, 0, 2}), firsts
+    # every completion b2, b3 of an accepted b1 is a hit, but for b = 0
+    assert len(hits) == 25 * len(firsts) - 1
 
 
 @pytest.mark.parametrize("mod", [0, 2], ids=mod_label)
@@ -816,6 +816,34 @@ def test_residue_count_walks_half_the_residues_when_four_divides(monkeypatch):
                      for n in (2, 3, 4, 6, 8, 12, 16)]
 
 
+def test_every_scan_walks_pieces_of_positive_exponent(rng, monkeypatch):
+    # no caller has a constant piece: the square-zero searches, the residue
+    # counts of the 3-stage battery and every row of the isomorphism search
+    # pass pieces of exponent t >= 1 only, on census 3 and on seeded
+    # generalized towers, whose rows of fiber >= 2 have several pieces
+    keys = []
+
+    def recording_scan(ring, pieces, *args):
+        keys.append(tuple(pieces))
+        return _scan(ring, pieces, *args)
+
+    monkeypatch.setattr(search, "_scan", recording_scan)
+    monkeypatch.setattr(classify, "_scan", recording_scan)
+    for a, b, c in iproduct(range(-3, 4), repeat=3):
+        t = bott_tower_3(a, b, c)
+        square_zero_elements(build_ring(t), 2, 1)
+        for tp in (bott_tower_3(a, -b, -c), rng.choice(CENSUS_3)):
+            classify_3stage(t, tp, bound=1)
+    while sum(len(k) > 1 for k in keys) < 10:  # rows with lower pieces
+        t = random_tower(rng, max_height=3, max_dim=3, max_entry=2)
+        tp = t.replace_stage(t.height, dualize_stage(t.stages[-1]))
+        ring = build_ring(t)
+        for k in (2, 3):
+            square_zero_elements(ring, k, 1)
+        iso_search(ring, build_ring(tp), 1)
+    assert keys and all(k and min(k) >= 1 for k in keys), set(keys)
+
+
 @pytest.mark.parametrize("modulus", [0, 1, -3, True, False, 2.0])
 def test_square_zero_count_mod_rejects_bad_modulus(modulus):
     calls = [_square_zero_count_mod]
@@ -858,7 +886,7 @@ def scan_cases(draw):
     k = draw(st.integers(2, 3))
     pieces = {k: ring.one()}
     if draw(st.booleans()):
-        t = draw(st.integers(0, k - 1))
+        t = draw(st.integers(1, k - 1))
         basis = ring.basis(k - t)
         if basis:
             pieces[t] = ring.from_terms(
@@ -923,23 +951,14 @@ def test_iso_search_witnesses_verify_property(case):
 
 
 def shaped_pieces(ring):
-    """Pieces {2: 1, 1: degree 1, 0: constant} of one shape, with different
-    supports: some coefficients zero, a single monomial, full support, and
-    a constant whose degree-3 term 4 y^mu lies outside every polynomial
-    (the polynomials are those of degree 2): no vector solves it over Z,
-    while over Z/4 and Z/2 the term vanishes and the walk goes on."""
-    one, d1, d2, d3 = ring.one(), ring.basis(1), ring.basis(2), ring.basis(3)
+    """Pieces {2: 1, 1: degree 1} of one shape, with different supports:
+    some coefficients zero, a single monomial and full support."""
+    one, d1 = ring.one(), ring.basis(1)
     return [
-        {2: one,
-         1: ring.from_terms({d1[1]: 1}),
-         0: ring.from_terms({d2[2]: -1, d3[0]: 4})},
-        {2: one,
-         1: ring.from_terms({e: -1 for e in d1[::2]}),
-         0: ring.from_terms({e: 2 for e in d2[1::2]})},
-        {2: one, 1: ring.from_terms({d1[0]: -1}), 0: ring.from_terms({d2[-1]: 3})},
-        {2: one,
-         1: ring.from_terms({e: i for i, e in enumerate(d1, 1)}),
-         0: ring.from_terms({e: (-1) ** i for i, e in enumerate(d2)})},
+        {2: one, 1: ring.from_terms({d1[1]: 1})},
+        {2: one, 1: ring.from_terms({e: -1 for e in d1[::2]})},
+        {2: one, 1: ring.from_terms({d1[0]: -1})},
+        {2: one, 1: ring.from_terms({e: i for i, e in enumerate(d1, 1)})},
     ]
 
 
@@ -951,14 +970,14 @@ def test_scan_plan_compiled_once_per_shape(mod, order):
     plan = None
     hits = []
     for pieces in shaped_pieces(ring)[::order]:
-        hits.append(walk_parity(ring, pieces, values, mod))
-        assert len(ring._scan_plans) == 1
-        (current,) = ring._scan_plans.values()
-        assert plan is None or current is plan
-        plan = current
+        # a shift changes the starts of the checks, not the plan
+        for shift in (None, (2, (-1, 1, 2))):
+            hits.append(walk_parity(ring, pieces, values, mod, shift))
+            assert len(ring._scan_plans) == 1
+            (current,) = ring._scan_plans.values()
+            assert plan is None or current is plan
+            plan = current
     assert any(hits)
-    outside = hits[0 if order == 1 else -1]
-    assert bool(outside) == (mod == 4), (mod, outside)
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["z-first", "residues-first"])
@@ -1010,7 +1029,7 @@ def plan_polynomials(plan):
     width is carried as the child's slot c (z_j^0, no spread entry), and
     every other slot is exactly one spread entry, of k >= 1, or one term of
     one check."""
-    _, table, levels, width = plan
+    table, levels, width = plan
     widths = [width] + [child_width for _, _, child_width in levels]
     assert widths[-1] == 0
     routes = []  # per level, slot -> (k, child slot or (level, check))
@@ -1045,25 +1064,42 @@ def plan_polynomials(plan):
 
 def assert_plan_layout(ring, rng):
     """Every plan compiled on ``ring`` has the carried layout, and its
-    polynomials, filled with random pieces of the plan's shape, are the
-    coefficients of sum_t pieces[t] h_z^t at a random z."""
+    polynomials read back from the slots are, as a multiset, the
+    polynomials {alpha: {(t, beta): weight}} built here, one per basis
+    monomial mu, from the multinomial theorem and the ring's normal form of
+    y^(alpha + beta).  Filled with random pieces of the plan's shape, those
+    are the coefficients of sum_t pieces[t] h_z^t at a random z."""
     assert ring._scan_plans
     for shape, plan in ring._scan_plans.items():
-        polys = plan_polynomials(plan)
-        settle = plan[0]
-        assert sorted(polys) == sorted(settle.values())
+        built: dict = {}  # mu -> alpha -> {(t, beta): weight}
+        for t, degrees in shape:
+            for alpha in iproduct(range(t + 1), repeat=ring.height):
+                if sum(alpha) != t:
+                    continue
+                mult = factorial(t) // prod(map(factorial, alpha))
+                for d in degrees:
+                    for beta in ring.basis(d):
+                        nf = ring._monomial_nf(tuple(map(add, alpha, beta)))
+                        for mu, c in nf.items():
+                            poly = built.setdefault(mu, {}).setdefault(alpha, {})
+                            poly[t, beta] = mult * c
+
+        def key(poly):
+            return sorted((alpha, sorted(weights.items()))
+                          for alpha, weights in poly.items())
+
+        read_back = plan_polynomials(plan).values()
+        assert sorted(map(key, read_back)) == sorted(map(key, built.values())), shape
         pieces = {t: ring.from_terms({beta: rng.randint(-3, 3)
                                       for d in degrees for beta in ring.basis(d)})
                   for t, degrees in shape}
         z = [rng.randint(-3, 3) for _ in range(ring.height)]
         h = ring.linear_class(z)
         expected = dict(sum((p * h**t for t, p in pieces.items()), ring.zero()).items())
-        for mu, at in settle.items():
+        for mu, poly in built.items():
             value = 0
-            for alpha, weights in polys[at].items():
-                zalpha = 1
-                for zj, a in zip(z, alpha):
-                    zalpha *= zj**a
+            for alpha, weights in poly.items():
+                zalpha = prod(zj**a for zj, a in zip(z, alpha))
                 for (t, beta), w in weights.items():
                     value += dict(pieces[t].items()).get(beta, 0) * w * zalpha
             assert value == expected.pop(mu, 0), (shape, mu)
@@ -1108,11 +1144,10 @@ def test_equal_rings_do_not_share_scan_plans():
     assert list(_scan(r2, {2: r2.one()}, values)) == got
     (p1,), (p2,) = r1._scan_plans.values(), r2._scan_plans.values()
     assert p1 is not p2
-    # each ring keeps its own settling checks and weights; only the walk,
-    # levels and width, is shared by support signature
+    # each ring keeps its own weights; only the walk, levels and width, is
+    # shared by support signature
     assert p1[0] == p2[0] and p1[0] is not p2[0]
-    assert p1[1] == p2[1] and p1[1] is not p2[1]
-    assert p1[2] is p2[2] and p1[3] == p2[3]
+    assert p1[1] is p2[1] and p1[2] == p2[2]
 
 
 def only_plan(ring):
@@ -1128,9 +1163,8 @@ def test_sign_twists_share_one_walk_and_keep_their_weights():
         for ring in rings:
             list(_scan(ring, {2: ring.one()}, range(-1, 2)))
         p, q = map(only_plan, rings)
-        assert p[2] is q[2] and p[3] == q[3]
-        assert p[0] == q[0] and p[0] is not q[0]
-        assert p[1] is not q[1] and p[1] != q[1]
+        assert p[1] is q[1] and p[2] == q[2]
+        assert p[0] is not q[0] and p[0] != q[0]
 
 
 def test_rings_with_other_zero_patterns_get_other_walks():
@@ -1138,14 +1172,15 @@ def test_rings_with_other_zero_patterns_get_other_walks():
     for abc in [(1, 2, 3), (0, 2, 3), (1, 0, 3), (1, 2, 0), (0, 0, 0)]:
         ring = build_ring(bott_tower_3(*abc))
         list(_scan(ring, {2: ring.one()}, range(-1, 2)))
-        walks.append(only_plan(ring)[2])
+        walks.append(only_plan(ring)[1])
     for i, j in combinations(range(len(walks)), 2):
         assert walks[i] != walks[j], (i, j)
 
 
 def test_shifted_walk_leaves_the_shared_walk_as_it_was():
-    # a shifted walk with a constant piece sets the starts of its checks;
-    # the ring that shares its walk must still walk as the oracle does
+    # a shifted walk sets nonzero starts of its checks in its own copy of
+    # the levels; the ring that shares its walk must still walk as the
+    # oracle does
     tower, twist = bott_tower_3(1, -2, 3), bott_tower_3(1, 2, -3)
     ring, other = build_ring(tower), build_ring(twist)
     pieces = shaped_pieces(ring)[-1]
@@ -1153,19 +1188,19 @@ def test_shifted_walk_leaves_the_shared_walk_as_it_was():
     values = range(-2, 3)
     got = list(_scan(ring, pieces, values, 0, shift))
     assert got == brute_force_scan(ring, pieces, 2, values, shift)
-    ((shape, (_, _, levels, _)),) = ring._scan_plans.items()
+    ((shape, (_, levels, _)),) = ring._scan_plans.items()
     assert all(start == 0 for checks, _, _ in levels for _, start in checks)
     for pieces in [{2: other.one()}] + shaped_pieces(other):
         walk_parity(other, pieces, values)
         for n in (2, 4, 8):
             walk_parity(other, pieces, range(n), n)
-    assert other._scan_plans[shape][2] is levels
+    assert other._scan_plans[shape][1] is levels
 
 
 def test_shared_walk_parts_are_tuples():
     ring = build_ring(validate_tower([(1, []), (2, [[1], [-1]]), (1, [[0, 2]])]))
     list(_scan(ring, {2: ring.one(), 1: ring.gen(1)}, range(-1, 2)))
-    for _, _, levels, width in ring._scan_plans.values():
+    for _, levels, width in ring._scan_plans.values():
         assert isinstance(levels, tuple) and isinstance(width, int)
         for level in levels:
             checks, spread, child_width = level
@@ -1177,40 +1212,14 @@ def test_shared_walk_parts_are_tuples():
     supports = (((2, 0), (1, 1)), ((0, 2),))
     plan = search._plan(supports, 2)
     assert search._plan(supports, 2) is plan
-    slots, settle, levels, width = plan
+    slots, levels, width = plan
     assert isinstance(slots, tuple) and all(isinstance(s, tuple) for s in slots)
     assert [len(s) for s in slots] == [2, 1]
-    assert isinstance(settle, tuple) and isinstance(levels, tuple)
+    assert isinstance(levels, tuple)
     assert search._plan.cache_info().maxsize is not None  # a bounded cache
 
 
 # -- minors gcd against every maximal minor ------------------------------------------
-
-
-def test_minors_gcd_matches_oracle(rng):
-    entries = [0, 1, -1, 2, -2, 3, -3, 6, -6]
-    kinds = {"zero": 0, "one": 0, "other": 0}
-    for _ in range(4000):
-        m = rng.randint(1, 6)
-        k = rng.randint(1, m)
-        rows = [[rng.choice(entries) for _ in range(m)] for _ in range(k)]
-        tweak = rng.randrange(4)
-        if tweak == 1:  # a zero row
-            rows[rng.randrange(k)] = [0] * m
-        elif tweak == 2 and k > 1:  # a repeated row
-            rows[rng.randrange(k)] = list(rows[rng.randrange(k)])
-        elif tweak == 3 and k > 1:  # short rank: a combination of two rows
-            i, j = rng.randrange(k), rng.randrange(k)
-            a, b = rng.choice(entries), rng.choice(entries)
-            rows[rng.randrange(k)] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
-        rows = [tuple(r) for r in rows]
-        g = minors_gcd(rows, m)
-        assert g == brute_force_minors_gcd(rows, m), rows
-        if k == m:
-            assert g == abs(det_int([list(r) for r in rows])), rows
-        kinds["zero" if g == 0 else "one" if g == 1 else "other"] += 1
-    assert min(kinds.values()) > 100, kinds
-    assert minors_gcd([], 3) == 1
 
 
 def test_minors_gcd_of_one_row_matches_oracle(rng):
