@@ -275,7 +275,7 @@ def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
 
 def _residue_square_zero_count(ring: BottRing, modulus: int) -> int:
     """The Z/modulus square-zero count of a ring over Z, from one residue
-    scan; the ring keeps the {2: 1} plan for every modulus and the search.
+    scan; the ring keeps the {2: 1} plan for every modulus.
 
     When 4 divides n = ``modulus`` the scan walks only the residues
     range(n/2).  The relations are integral, so for b' in {0, 1}^m
@@ -303,8 +303,9 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     over Z/8 is compared last, and if it agrees too the verdict is UNKNOWN.
 
     Each tower gets one ring, over Z, built once the p1 test has passed:
-    the residue counts scan it modulo 2, 4 and 8, and the search runs on
-    it, so all of them share its compiled {2: 1} scan plan.  The counts
+    the residue counts scan it modulo 2, 4 and 8, sharing its compiled
+    {2: 1} scan plan, and the search runs on it, solving each row in closed
+    form with no plan.  The counts
     modulo 4 and 8 walk half the residues per coordinate: a square mod n
     (4 | n) does not change when n/2 is added to any coordinate, since
     (h + (n/2) h')^2 = h^2 + n h h' + (n^2/4) h'^2, so each solution in

@@ -2,16 +2,17 @@
 
 One scan primitive ("generate, in lexicographic order, the coefficient
 vectors b in a box where a fixed polynomial expression in the class sum
-b_j y_j vanishes") serves every enumeration: the square-zero search used by
-the rational-product criterion, the residue-box square-zero counts of the
-3-stage invariant battery, and the row-by-row search for unimodular
-matrices inducing graded ring isomorphisms.  Only rings over Z are scanned
-and searched; a question over Z/n is a walk of the integer ring modulo n,
-named by the caller.  The relations are monic with integer coefficients, so
-the normal form over Z/n is the normal form over Z reduced mod n, and a
-walk mod n of the integer ring finds what a scan of the Z/n ring would
-find.  The ring is free over Z, so an integer class vanishes over Q exactly
-when it vanishes over Z.
+b_j y_j vanishes") serves the square-zero search used by the
+rational-product criterion, the residue-box square-zero counts of the
+3-stage invariant battery, and the rows of fiber n >= 2 in the row-by-row
+search for unimodular matrices inducing graded ring isomorphisms; a row of
+a CP^1 stage, a quadratic, is solved in closed form.  Only rings over Z are
+scanned and searched; a question over Z/n is a walk of the integer ring
+modulo n, named by the caller.  The relations are monic with integer
+coefficients, so the normal form over Z/n is the normal form over Z reduced
+mod n, and a walk mod n of the integer ring finds what a scan of the Z/n
+ring would find.  The ring is free over Z, so an integer class vanishes
+over Q exactly when it vanishes over Z.
 
 The expression is one polynomial in b per basis monomial, linear in the
 pieces, which all have a positive exponent: every caller's expression
@@ -38,29 +39,32 @@ slot c, a term free of z_j: a child starts as a slice of its parent and
 pays a multiply-add only for the terms in which z_j occurs.
 
 The isomorphism search fixes the rows of a matrix depth-first; the DFS is a
-recursive generator, taken at its first item.  A row's candidates are
-lazily walked streams, one per stage image: row i solves the stage relation
-f_i(x) = sum_q c_q x^(n+1-q), the Chern classes c_q of the stage table
-mapped by the rows fixed so far, depressed by z = (n+1) x + c_1 so that the
-term in z^n vanishes.  The search reads each stage's n + 1, c_1 and c_q
-from one record derived when it starts, and builds each depressed relation
-from it in one pass (``_stage_relation``).  x = 0 solves every stage
-relation, so the depressed sum vanishes at z = c_1 and its constant is
-minus the value of the other terms there: no relation forms it, and the
-shifted walk reads that value along its own path b = 0.  A CP^1 stage,
-z^2 = c_1^2, is then the pieces {2: 1} of row 1, read off c_1 with no ring
-arithmetic, so every row of a Bott-tower search walks the one {2: 1} plan
-of its target ring.  The c_q
-read only the rows of the generators they involve, so DFS nodes whose
-prefixes agree on those rows pull from one walk, which advances only as
-far as some node takes it.  It searches row 1 up to sign: every relation
-is homogeneous and the box is symmetric, so -M is a witness whenever M is,
-and only rows 1 whose first nonzero entry is negative are tried: in
-lexicographic order they come first, and the search stops at the first row
-1 that leads positive.  Its
-unimodularity prune carries a column transform down the tree that clears
-the rows fixed so far, so each candidate row costs the gcd of its
-m - depth free entries instead of a reduction of the whole prefix.
+recursive generator, taken at its first item.  Row i solves the stage
+relation f_i(x) = sum_q c_q x^(n+1-q), the Chern classes c_q of the stage
+table mapped by the rows fixed so far; the search reads each stage's n + 1,
+c_1 and c_q from one record derived when it starts.  A CP^1 stage is
+x (x + L) = 0 in H^4, L the image of c_1.  In degree 2 the target rewrites
+only y_k^2, and only over a CP^1 stage k, so column k of the equations
+involves x_k and lower coordinates alone, and a value of x_k with
+2 x_k + L_k != 0 determines every lower coordinate: ``_cp1_rows`` fixes
+x_k from the last coordinate down, walks no box and does no ring
+arithmetic, and sorts what it finds.  Its candidates depend on L alone,
+so every DFS node with the same L reads one list.  A row of fiber n >= 2
+walks its relation depressed by z = (n+1) x + c_1 so that the term in z^n
+vanishes, built in one pass from the record (``_stage_relation``).  x = 0
+solves every stage relation, so the depressed sum vanishes at z = c_1 and
+its constant is minus the value of the other terms there: no relation
+forms it, and the shifted walk reads that value along its own path b = 0.
+The c_q read only the rows of the generators they involve, so DFS nodes
+whose prefixes agree on those rows pull from one walk, which advances only
+as far as some node takes it.  It searches row 1 up to sign: every
+relation is homogeneous and the box is symmetric, so -M is a witness
+whenever M is, and only rows 1 whose first nonzero entry is negative are
+tried: in lexicographic order they come first, and the search stops at the
+first row 1 that leads positive.  Its unimodularity prune carries a column
+transform down the tree that clears the rows fixed so far, so each
+candidate row costs the gcd of its m - depth free entries instead of a
+reduction of the whole prefix.
 
 Results are deterministic: candidates are enumerated in lexicographic order
 and the first complete witness is returned, which makes it the
@@ -203,18 +207,19 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     in a ring over Z, h_z = sum_j z_j y_j, where z_j = s * b_j + l_j for
     ``shift`` = (s, l) with s > 0, and z = b, l = 0 without one: an
     unshifted walk solves sum_t pieces[t] * h_b^t == 0.  ``pieces`` maps
-    exponents t >= 1 to classes; no caller has a constant piece.
+    exponents t >= 1 to classes; a smaller exponent raises ValueError
+    before any plan is compiled.
 
     ``values`` lists the coefficients tried per coordinate, in order: a
     bounded search passes range(-bound, bound + 1), a count over Z/n passes
     the residues range(n).  ``mod`` is the modulus of the walk, 0 for none;
     the caller names it, and a walk mod n gives what the same scan of the
     ring over Z/n would give.  A shifted walk is over Z (``mod`` 0), where
-    the isomorphism search uses it for its depressed stage relations (see
-    :func:`_stage_relation`): the value at z = l of its pieces is minus
-    the constant that each depressed relation leaves out.  z_j is
-    increasing in b_j, so the order is kept.  Pieces above the top degree
-    add zero.
+    the isomorphism search uses it for its depressed stage relations of
+    fiber n >= 2 (see :func:`_stage_relation`): the value at z = l of its
+    pieces is minus the constant that each depressed relation leaves out.
+    z_j is increasing in b_j, so the order is kept.  Pieces above the top
+    degree add zero.
 
     The scan structure is compiled once per ring and shape of the pieces
     (see :func:`_compile`) and kept on the ring, whatever the modulus or
@@ -236,6 +241,9 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
     so a leaf is a solution exactly when all of them vanish.  The walk is
     lazy: it advances only as far as its consumer takes vectors.
     """
+    for t in pieces:
+        if t < 1:
+            raise ValueError(f"scan pieces need an exponent t >= 1, got t = {t}")
     m = ring.height
     live = {t: piece for t, piece in sorted(pieces.items())
             if t <= ring.top_degree and not piece.is_zero()}
@@ -345,10 +353,22 @@ def _stage_record(ring: BottRing, i: int) -> tuple:
     return top, tuple((g.index(1), a) for g, a in chern[0].items()), reads, higher
 
 
+def _lift(c1, rows, m: int) -> tuple:
+    """The coefficients l of the image of c_1 = sum_j a_j y_(j+1), for
+    ``c1`` the pairs (j, a_j) of a stage record: l = sum_j a_j rows[j]."""
+    lift = [0] * m
+    for j, c in c1:
+        for k, v in enumerate(rows[j]):
+            lift[k] += c * v
+    return tuple(lift)
+
+
 def _stage_relation(target: BottRing, stage: tuple, rows):
     """Depressed pieces and shift of the scan of row i of an iso_search
     matrix whose earlier rows are ``rows``, ``stage`` the record of source
-    stage i (:func:`_stage_record`).
+    stage i (:func:`_stage_record`).  The search builds it for stages of
+    fiber n >= 2 only and solves a CP^1 row in closed form
+    (:func:`_cp1_rows`); the formula holds for n = 1 too.
 
     Row i solves f(x) = sum_q c_q x^(n+1-q), c_0 = 1, each c_q mapped
     through the rows of the generators it reads; the image of c_1 is the
@@ -366,33 +386,117 @@ def _stage_relation(target: BottRing, stage: tuple, rows):
     :func:`_scan` implies.  The ring is free over Z, so f vanishes exactly
     where the depressed sum does.  Returns the pieces {r: D_r} (r >= 1) and
     the shift (n + 1, l) of :func:`_scan`, so that z_j = (n+1) b_j + l_j.
-    A CP^1 stage is z^2 = c_1^2: the pieces {2: 1}, read off the lift alone
-    with no ring arithmetic.
     """
     top, c1, reads, higher = stage
-    lift = [0] * target.height
-    for j, c in c1:
-        for k, v in enumerate(rows[j]):
-            lift[k] += c * v
+    lift = _lift(c1, rows, target.height)
+    image = target.linear_class(lift)._c
+    shift = {e: -c for e, c in image.items()}
+    # a[t] = (n+1)^(n+1-t) c_(n+1-t), the coefficients in w = (n+1) x, for
+    # 1 <= t <= n; a[0] = c_(n+1) = 0 is never read, and a[top] = 1 is not
+    # stored
+    a = [{} for _ in range(top - 1)] + [{e: top * c for e, c in image.items()}]
+    images = {j: target.linear_class(rows[j]) for j in reads}
+    for q, cq in enumerate(higher, start=2):
+        a[top - q] = image_of_terms(target, images, cq)._c
+    for i in range(top - 1):
+        target._raw_add(a[top - 1], shift)  # shift * a[top]
+        for j in range(top - 2, max(i, 1) - 1, -1):  # j = 0 would form D_0
+            if a[j + 1]:
+                target._raw_add(a[j], target._raw_mul(shift, a[j + 1]))
     pieces = {top: target.one()}
-    if top > 2:
-        image = target.linear_class(lift)._c
-        shift = {e: -c for e, c in image.items()}
-        # a[t] = (n+1)^(n+1-t) c_(n+1-t), the coefficients in w = (n+1) x,
-        # for 1 <= t <= n; a[0] = c_(n+1) = 0 is never read, and a[top] = 1
-        # is not stored
-        a = [{} for _ in range(top - 1)] + [{e: top * c for e, c in image.items()}]
-        images = {j: target.linear_class(rows[j]) for j in reads}
-        for q, cq in enumerate(higher, start=2):
-            a[top - q] = image_of_terms(target, images, cq)._c
-        for i in range(top - 1):
-            target._raw_add(a[top - 1], shift)  # shift * a[top]
-            for j in range(top - 2, max(i, 1) - 1, -1):  # j = 0 would form D_0
-                if a[j + 1]:
-                    target._raw_add(a[j], target._raw_mul(shift, a[j + 1]))
-        pieces.update((t, CohomologyClass(target, a[t]))
-                      for t in range(1, top - 1) if a[t])
-    return pieces, (top, tuple(lift))
+    pieces.update((t, CohomologyClass(target, a[t]))
+                  for t in range(1, top - 1) if a[t])
+    return pieces, (top, lift)
+
+
+def _square_rewrites(target: BottRing) -> tuple:
+    """Per target stage k (0-based), how H^4 holds y_k^2: the pair
+    (n_k >= 2, C_k).  For n_k = 1, C_k lists the coefficients C_kj (j < k)
+    of c_1 of stage k, and y_k^2 = -sum_j C_kj y_j y_k; for n_k >= 2, y_k^2
+    is a basis monomial and C_k is k zeros.  Every y_j y_k with j < k is a
+    basis monomial."""
+    rewrites = []
+    for k, (n, chern) in enumerate(zip(target.dims, target.chern)):
+        row = [0] * k
+        if n == 1:
+            for g, c in chern[0].items():
+                row[g.index(1)] = c
+        rewrites.append((n > 1, tuple(row)))
+    return tuple(rewrites)
+
+
+def _cp1_rows(rewrites: tuple, lift: tuple, values: range) -> list:
+    """Every nonzero x in ``values``^m, in lexicographic order, with
+    x (x + L) = 0 in H^4 of the target, L = sum_k lift[k] y_k and
+    ``rewrites`` the target's :func:`_square_rewrites`: the candidate rows
+    of a CP^1 source stage, whose relation is x (x + c_1) = 0.
+
+    With w = x + L, the coefficient of y_j y_k (j < k) in x w is
+
+        x_j (2 x_k + L_k) - x_k (C_kj (x_k + L_k) - L_j),
+
+    and when n_k >= 2 (C_kj = 0) y_k^2 has the coefficient x_k (x_k + L_k).
+    Column k's equations involve x_k and lower coordinates only, so x_k is
+    fixed from the last coordinate down.  A value v with 2v + L_k != 0
+    determines every x_j, j < k, from column k; each must be an integer in
+    the box, and the columns below k are then checked.  The one value with
+    2v + L_k = 0 leaves column k conditions on constants; when they hold, v
+    is kept and the next coordinate down is fixed the same way.  Each
+    solution is found once: at its last coordinate k with 2 x_k + L_k != 0,
+    or at the first coordinate if it has none.  No ring arithmetic is done.
+    """
+    found = []
+    suffix = ()  # x_(k+1).., each with 2 x_j + L_j = 0
+    for k in range(len(lift) - 1, -1, -1):
+        lk = lift[k]
+        square, ck = rewrites[k]
+        kept = None
+        for v in values:
+            w = v + lk
+            if square and v * w:
+                continue
+            if not k:
+                found.append((v,) + suffix)
+                continue
+            d = v + w
+            # column k: x_j d = v (C_kj w - L_j) for every j < k
+            if not d:
+                if not any(v * (c * w - lj) for c, lj in zip(ck, lift)):
+                    kept = v
+                continue
+            if not v:  # every x_j is 0, and so are the columns below k
+                found.append((0,) * (k + 1) + suffix)
+                continue
+            low = []
+            for c, lj in zip(ck, lift):
+                x, rest = divmod(v * (c * w - lj), d)
+                if rest or x not in values:
+                    break
+                low.append(x)
+            else:
+                if _lower_columns_vanish(rewrites, lift, low):
+                    found.append(tuple(low) + (v,) + suffix)
+        if kept is None:
+            break
+        suffix = (kept,) + suffix
+    found.remove((0,) * len(lift))  # x = 0 is found once, as every x is
+    found.sort()
+    return found
+
+
+def _lower_columns_vanish(rewrites: tuple, lift: tuple, x: list) -> bool:
+    """Whether the equations of :func:`_cp1_rows` in the columns below
+    len(x) hold at the coordinates x."""
+    for k, xk in enumerate(x):
+        square, ck = rewrites[k]
+        w = xk + lift[k]
+        if square and xk * w:
+            return False
+        d = xk + w
+        for xj, c, lj in zip(x, ck, lift):
+            if xj * d != xk * (c * w - lj):
+                return False
+    return True
 
 
 def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness | None:
@@ -410,32 +514,35 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     c_q for q >= 2.  The DFS is a generator of the stage-verified matrices
     in this order, taken at its first item.
 
-    Every row walks its stage relation depressed by z = (n+1) x + c_1, built
-    in one pass from the record and the earlier rows
-    (:func:`_stage_relation`), one rule for every fiber dimension: the scan
-    runs over z_j = (n+1) b_j + l_j, l the coefficients of the image of
-    c_1, and yields b.  The ring is free over Z, so no solution is lost,
-    and z is increasing in b, so the order and the first witness are kept.
-    x = 0 solves each relation, so the constant of the depressed relation
-    is minus the value of its other terms at z = l, which the walk implies
-    and no row forms.  A CP^1 row is z^2 = c_1^2: the pieces {2: 1} and no
-    constant piece, the plan of row 1, so a search on a Bott tower compiles
-    one plan on its target ring and forms no product for its rows.
-
-    Row i's candidates are lazily walked streams, one per stage image: the
-    pieces depend only on the earlier rows that the c_q of stage i read
-    (the reads of the record), so within one call every DFS node with the
-    same such rows gets an independent cursor over one shared, buffered
-    walk, and no walk goes past the last candidate some node has taken.
+    The fiber dimension of source stage i selects how its row is solved.
+    A CP^1 row, x (x + c_1) = 0, is solved in closed form from the lift l,
+    the coefficients of the image of c_1 (:func:`_cp1_rows`): it compiles
+    no plan and forms no product, so a search between Bott towers walks no
+    scan at all.  Its candidates depend on l alone, so within one call they
+    are one sorted list, keyed by l, that every DFS node with that lift
+    reads.  A row of fiber n >= 2 walks its stage relation depressed by
+    z = (n+1) x + c_1, built in one pass from the record and the earlier
+    rows (:func:`_stage_relation`): the scan runs over
+    z_j = (n+1) b_j + l_j and yields b.  The ring is free over Z, so no
+    solution is lost, and z is increasing in b, so the order and the first
+    witness are kept.  x = 0 solves each relation, so the constant of the
+    depressed relation is minus the value of its other terms at z = l,
+    which the walk implies and no row forms.  Its candidates are a lazily
+    walked stream per stage image: the pieces depend only on the earlier
+    rows that the c_q of stage i read (the reads of the record), so within
+    one call every DFS node with the same such rows gets an independent
+    cursor over one shared, buffered walk, and no walk goes past the last
+    candidate some node has taken.  The two kinds of key never meet: a
+    lift is m ints, a stage image a pair (depth, rows).
 
     Row 1 is searched up to sign.  Each relation is homogeneous, so -M is a
     witness whenever M is, and the box is symmetric; of M and -M the one
     whose row 1 leads with a negative entry comes first, so only rows 1
-    leading with a negative entry are tried.  Row 1 is walked in
+    leading with a negative entry are tried.  Row 1's candidates are in
     lexicographic order over a symmetric box, so every row 1 after the
     first that leads positive leads positive too, and the search ends
     there.  The first witness is unchanged, and an exhaustive search walks
-    half the tree and stops its row-1 walk at the midpoint.
+    half the tree and stops its row-1 candidates at the midpoint.
 
     A gcd-of-minors prune discards prefixes that cannot complete to a
     unimodular matrix.  The DFS carries, per prefix of ``depth`` rows, a
@@ -444,8 +551,7 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     when the free entries of r @ U (columns depth..m-1) have gcd 1: one
     single-row ``minors_gcd`` per candidate, the gcd of those entries.
     Descending extends U by Euclid's algorithm on the free columns only.
-    Returns the first
-    verified witness, or None.
+    Returns the first verified witness, or None.
     """
     values = _check_bound(bound)
     target, source = ring, ring_prime
@@ -455,15 +561,24 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
         return None
     m = source.height
     stages = [_stage_record(source, i) for i in range(1, m + 1)]
-    streams: dict = {}  # stage image -> its candidate rows, walked once
+    rewrites = _square_rewrites(target)
+    # a CP^1 row's candidates, one list, keyed by the lift l (m ints); the
+    # walk of any other row, keyed by (depth, the rows its c_q read)
+    streams: dict = {}
 
     def candidates(rows):
         depth = len(rows)
-        # a stage image is fixed by the rows its c_q read, the record's reads
-        key = (depth,) + tuple(rows[j] for j in stages[depth][2])
+        stage = stages[depth]
+        if stage[0] == 2:
+            lift = _lift(stage[1], rows, m)
+            found = streams.get(lift)
+            if found is None:
+                found = streams[lift] = _cp1_rows(rewrites, lift, values)
+            return found
+        key = (depth, tuple(rows[j] for j in stage[2]))
         stream = streams.get(key)
         if stream is None:
-            pieces, shift = _stage_relation(target, stages[depth], rows)
+            pieces, shift = _stage_relation(target, stage, rows)
             walk = _scan(target, pieces, values, 0, shift)
             stream = streams[key] = tee(walk, 1)[0]
         return copy(stream)  # an independent cursor over the shared walk

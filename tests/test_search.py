@@ -28,7 +28,14 @@ from bottcoh import classify
 from bottcoh.classify import _square_zero_count_mod
 from bottcoh.linalg import clear_row, det_int, minors_gcd
 from bottcoh.ring import BottRing, image_of_terms
-from bottcoh.search import _scan, _stage_record, _stage_relation
+from bottcoh.search import (
+    _cp1_rows,
+    _lift,
+    _scan,
+    _square_rewrites,
+    _stage_record,
+    _stage_relation,
+)
 
 from .conftest import mod_label, random_tower
 from .oracles import (
@@ -342,10 +349,15 @@ def test_scan_matches_oracle_on_iso_search_stage_splits(mod):
     ],
 )
 def test_iso_search_matches_oracle_scan(t, tp, bound, monkeypatch):
+    # every row from the brute-force scan: a CP^1 row of x^2 + L x, a row of
+    # fiber >= 2 of the shifted pieces
     got = iso_search(build_ring(t), build_ring(tp), bound)
+    target = build_ring(t)
     monkeypatch.setattr(search, "_scan", lambda ring, pieces, values, mod, shift:
                         brute_force_scan(ring, pieces, max(pieces), values, shift))
-    expected = iso_search(build_ring(t), build_ring(tp), bound)
+    monkeypatch.setattr(search, "_cp1_rows", lambda rewrites, lift, values: brute_force_scan(
+        target, {2: target.one(), 1: target.linear_class(lift)}, 2, values))
+    expected = iso_search(target, build_ring(tp), bound)
     if expected is None:
         assert got is None
     else:
@@ -506,11 +518,11 @@ def dfs_candidates(source, target, bound):
     (HEIGHT_4[0], HEIGHT_4[1]),  # no witness: the box is exhausted
 ])
 def test_iso_search_prunes_one_single_row_per_candidate(t, tp, monkeypatch):
-    scans, calls = [], []
+    solves, calls = [], []
 
-    def recording_scan(*args):
-        out = list(_scan(*args))
-        scans.append(out)
+    def recording_rows(*args):
+        out = _cp1_rows(*args)
+        solves.append(out)
         return out
 
     def recording_minors_gcd(rows, ncols):
@@ -519,16 +531,16 @@ def test_iso_search_prunes_one_single_row_per_candidate(t, tp, monkeypatch):
 
     target, source = build_ring(t), build_ring(tp)
     candidates = dfs_candidates(source, target, 2)
-    monkeypatch.setattr(search, "_scan", recording_scan)
+    monkeypatch.setattr(search, "_cp1_rows", recording_rows)
     monkeypatch.setattr(search, "minors_gcd", recording_minors_gcd)
     witness = iso_search(target, source, 2)
     assert calls and all(len(rows) == 1 for rows in calls)
     # row 1 is tried only with a negative leading entry, later rows all;
     # at row 1 the transform is the identity, so the tail is the row
-    row1 = [row for row in scans[0] if next(v for v in row if v) < 0]
+    row1 = [row for row in solves[0] if next(v for v in row if v) < 0]
     assert tuple(calls[0][0]) == row1[0]
     # one prune call per candidate per DFS node, also where nodes share
-    # the walk of one stage image
+    # the candidates of one lift
     if witness is None:
         assert len(calls) == candidates
     else:
@@ -653,24 +665,32 @@ def test_implied_constant_is_the_taylor_shift_constant(rng):
 
 
 def test_cp1_stage_relation_needs_no_ring_arithmetic(monkeypatch):
-    # a CP^1 row is {2: 1} and the shift, read off the lift alone; a stage
-    # of fiber >= 2 still forms its D_r in the ring
+    # a CP^1 row is solved from the lift alone, with no ring arithmetic,
+    # and finds the rows of the shifted {2: 1} walk it replaces; a stage of
+    # fiber >= 2 still forms its D_r in the ring
     calls = []
-    for name in ("_raw_mul", "_raw_add", "linear_class"):
+    for name in ("_raw_mul", "_raw_add", "linear_class", "_monomial_nf"):
         def counted(self, *args, _name=name, _real=getattr(BottRing, name)):
             calls.append(_name)
             return _real(self, *args)
         monkeypatch.setattr(BottRing, name, counted)
-    ring = build_ring(WALK)
-    rows = [(-1, 0, 0, 0), (2, -1, 0, 0), (1, 1, 1, 0)]
-    for i in range(1, 5):
-        stage = _stage_record(ring, i)
-        calls.clear()
-        pieces, shift = _stage_relation(ring, stage, rows[:i - 1])
-        assert not calls, (i, calls)
-        (row,) = WALK.stages[i - 1].summand_exponents
-        lift = tuple(sum(a * r[k] for a, r in zip(row, rows)) for k in range(4))
-        assert pieces == {2: ring.one()} and shift == (2, lift), (i, shift)
+    values = range(-2, 3)
+    for tower in (WALK, GEN):
+        ring = build_ring(tower)
+        m = ring.height
+        rows = [(-1, 0, 0, 0), (2, -1, 0, 0), (1, 1, 1, 0)]
+        rows = [row[:m] for row in rows]
+        for i in range(1, m + 1):
+            stage = _stage_record(ring, i)
+            if stage[0] != 2:
+                continue
+            calls.clear()
+            lift = _lift(stage[1], rows[:i - 1], m)
+            found = _cp1_rows(_square_rewrites(ring), lift, values)
+            assert not calls, (tower, i, calls)
+            (row,) = tower.stages[i - 1].summand_exponents
+            assert lift == tuple(sum(a * r[k] for a, r in zip(row, rows)) for k in range(m))
+            assert found == list(_scan(ring, {2: ring.one()}, values, 0, (2, lift)))
     ring = build_ring(GEN)
     stage = _stage_record(ring, 2)
     calls.clear()
@@ -679,18 +699,21 @@ def test_cp1_stage_relation_needs_no_ring_arithmetic(monkeypatch):
 
 
 def test_row_one_stops_at_the_sign_midpoint(monkeypatch):
-    # the row-1 walk is in lexicographic order over a symmetric box, so
-    # after the first row 1 that leads with a positive entry every later one
-    # does too: an exhaustive search pulls the negative half of row 1 and
-    # that one row, and tries no row 1 that leads positive
-    walks, pulled, tried = [], [], []
+    # row 1's candidates are in lexicographic order over a symmetric box,
+    # so after the first row 1 that leads with a positive entry every later
+    # one does too: an exhaustive search pulls the negative half of row 1
+    # and that one row, and tries no row 1 that leads positive
+    solves, pulled, tried = [], [], []
 
-    def recording_scan(*args):
-        walks.append(args)
-        walk = _scan(*args)
-        if len(walks) > 1:
-            return walk
-        return (pulled.append(row) or row for row in walk)  # the row-1 walk
+    def recording_rows(*args):
+        found = _cp1_rows(*args)
+        solves.append(args[1])
+        if len(solves) > 1:
+            return found
+        # row 1's lift is 0, and no later row of this pair has lift 0 (its
+        # c_1 is a nonzero combination of independent rows), so only row 1
+        # reads this generator
+        return (pulled.append(row) or row for row in found)
 
     def recording_minors_gcd(rows, ncols):
         if ncols == 4:  # row 1: the transform is the identity
@@ -701,55 +724,168 @@ def test_row_one_stops_at_the_sign_midpoint(monkeypatch):
     row1 = list(_scan(build_ring(t), {2: build_ring(t).one()}, range(-2, 3)))
     negative = [row for row in row1 if next(filter(None, row)) < 0]
     assert 0 < len(negative) < len(row1)
-    monkeypatch.setattr(search, "_scan", recording_scan)
+    monkeypatch.setattr(search, "_cp1_rows", recording_rows)
     monkeypatch.setattr(search, "minors_gcd", recording_minors_gcd)
     assert iso_search(build_ring(t), build_ring(tp), 2) is None
+    assert solves[0] == (0, 0, 0, 0) and all(any(lift) for lift in solves[1:])
     assert pulled == row1[:len(negative) + 1]
     assert tried == negative
 
 
-@pytest.mark.parametrize("t, tp, bound, scans, found", [
+def cp1_row_towers(rng):
+    """Towers with CP^1 stages: census 3, seeded height-4 and height-5 Bott
+    towers, and generalized towers with CP^1 stages above and below CP^2
+    and CP^3 stages."""
+    towers = CENSUS_3[::9] + [
+        bott_tower([[rng.randint(-3, 3) for _ in range(k)] for k in range(m)])
+        for m in (4, 4, 5, 5)]
+    towers += [GEN, GEN_DUAL] + C1_ZERO + [
+        validate_tower([(1, []), (3, [[1], [-1], [2]]), (1, [[2, -2]])]),
+        validate_tower([(2, []), (1, [[2]]), (1, [[-1, 2]])]),
+        validate_tower([(1, []), (1, [[2]]), (2, [[1, -1], [0, 2]]), (1, [[1, 0, -2]])]),
+    ]
+    while len(towers) < 60:
+        tower = random_tower(rng, max_height=4, max_dim=3, max_entry=3)
+        if 1 in tower.dims and max(tower.dims) > 1 and sum(tower.dims) <= 7:
+            towers.append(tower)
+    return towers
+
+
+def test_cp1_rows_match_oracle(rng):
+    # the closed-form candidates of a CP^1 row are, in order, the oracle's
+    # scan of the relation's own pieces y_i^2 + c_1 y_i under random
+    # earlier rows, at bounds 0 to 4 (at most 2 at height >= 4, where the
+    # oracle pays one ring evaluation per vector of the box).  Some rows
+    # are set so that the lift is -v (C, 2) for a top CP^1 stage whose c_1
+    # has the coefficients C: then x_m = v is kept, 2 v + L_m = 0, and its
+    # column's conditions on constants hold
+    kept = squares = 0
+    for tower in cp1_row_towers(rng):
+        ring = build_ring(tower)
+        m = ring.height
+        rewrites = _square_rewrites(ring)
+        for i in range(1, m + 1):
+            if ring.dims[i - 1] != 1:
+                continue
+            c1 = _stage_record(ring, i)[1]
+            for _ in range(3):
+                bound = rng.randint(0, 2 if m >= 4 else 4)
+                values = range(-bound, bound + 1)
+                rows = [tuple(rng.randint(-bound, bound) for _ in range(m))
+                        for _ in range(i - 1)]
+                units = [(j, a) for j, a in c1 if a in (1, -1)]
+                if units and bound and not rewrites[-1][0] and rng.randrange(2):
+                    v = rng.choice([-1, 1]) * rng.randint(1, bound)
+                    want = tuple(-v * c for c in rewrites[-1][1] + (2,))
+                    j, a = rng.choice(units)
+                    rows[j] = (0,) * m
+                    rest = _lift(c1, rows, m)
+                    rows[j] = tuple(a * (x - r) for x, r in zip(want, rest))
+                    assert _lift(c1, rows, m) == want
+                lift = _lift(c1, rows, m)
+                got = _cp1_rows(rewrites, lift, values)
+                pieces = relation_split(ring, ring, rows, i)
+                assert got == brute_force_scan(ring, pieces, 2, values), (tower, rows, i)
+                # a candidate below a kept last coordinate, 2 x_k + L_k = 0
+                # with x_k != 0; a candidate with x_k = -L_k != 0 on a stage k
+                # of fiber >= 2, the one nonzero root of its square condition
+                kept += any(x[-1] and 2 * x[-1] + lift[-1] == 0 for x in got)
+                squares += any(x[k] and n > 1 for x in got for k, n in enumerate(ring.dims))
+    assert kept >= 5 and squares >= 5, (kept, squares)
+
+
+def test_search_of_cp1_stages_walks_no_scan(rng, monkeypatch):
+    # every source stage CP^1: the search solves each row in closed form
+    # and calls the scan zero times, on census-3 pairs, on seeded
+    # height-4 and height-5 Bott towers against their top-stage duals, and
+    # in the search of a 3-stage classification
+    def failing_scan(*args):
+        raise AssertionError("a row of a CP^1 stage walked a scan")
+
+    monkeypatch.setattr(search, "_scan", failing_scan)
+    found = 0
+    for a, b, c in list(iproduct(range(-3, 4), repeat=3))[::11]:
+        t = bott_tower_3(a, b, c)
+        for tp in (bott_tower_3(a, -b, -c), bott_tower_3(-a, b - a * c, c), CENSUS_3[a + 3]):
+            found += iso_search(build_ring(t), build_ring(tp), 2) is not None
+    for m in (4, 5):
+        rows = [[rng.randint(-2, 2) for _ in range(k)] for k in range(m)]
+        t = bott_tower(rows)
+        dual = t.replace_stage(m, dualize_stage(t.stages[-1]))
+        found += iso_search(build_ring(t), build_ring(dual), 2) is not None
+    verdict = classify_3stage(bott_tower([[], [2], [1, 1]]), bott_tower([[], [-2], [-1, 1]]))
+    assert verdict.witness is not None
+    assert found >= 30, found
+
+
+def test_scan_rejects_a_piece_of_exponent_below_one():
+    # a constant piece on a monomial outside every polynomial used to fail
+    # deep in the plan; every exponent below 1 is refused by name before
+    # any plan is compiled
+    ring = build_ring(bott_tower_3(1, -2, 3))
+    y1y3 = ring.from_terms({(1, 0, 1): 1})
+    for t in (0, -1):
+        with pytest.raises(ValueError, match=rf"exponent t >= 1, got t = {t}$"):
+            list(_scan(ring, {2: ring.one(), t: y1y3}, range(-1, 2)))
+        assert ring._scan_plans == {}
+
+
+@pytest.mark.parametrize("t, tp, bound, lists, found", [
     (GEN, GEN_DUAL, 2, 3, True),
     (WALK, WALK.replace_stage(4, dualize_stage(WALK.stages[-1])), 2, 9, True),
-    (WALK, bott_tower([[], [-1], [1, -2], [0, 1, 2]]), 2, 7, False),
-    (bott_tower_3(2, 1, 1), bott_tower_3(-2, -1, 1), 4, 9, True),
+    (WALK, bott_tower([[], [-1], [1, -2], [0, 1, 2]]), 2, 5, False),
+    (bott_tower_3(2, 1, 1), bott_tower_3(-2, -1, 1), 4, 7, True),
 ])
 def test_iso_search_walks_no_further_than_its_first_witness(
-        t, tp, bound, scans, found, monkeypatch):
-    # one walk per stage image the DFS reaches; a search with a witness
-    # stops at it, and the counts pin the walk of the row-by-row search
-    calls = []
+        t, tp, bound, lists, found, monkeypatch):
+    # the DFS forms one candidate list per distinct lift of a CP^1 row (a
+    # closed-form solve) and per stage image of a row of fiber >= 2 (a
+    # walk: GEN's CP^2 row, once); a search with a witness stops at it,
+    # and the counts pin the work of the row-by-row search
+    lifts, walks = [], []
 
-    def counting_scan(*args):
-        calls.append(args)
-        return _scan(*args)
-
-    monkeypatch.setattr(search, "_scan", counting_scan)
-    witness = iso_search(build_ring(t), build_ring(tp), bound)
-    assert len(calls) == scans
-    assert (witness is not None) == found
-
-
-def test_iso_search_shares_walks_between_stage_images(seed, monkeypatch):
-    # Bott towers with zero entries have stages whose c_q skip earlier
-    # generators, so DFS nodes whose prefixes differ only in skipped rows
-    # share one walk.  The search must still agree with the oracle, and
-    # start fewer walks than its DFS has nodes that scan: the root, plus a
-    # child per candidate that keeps the minors gcd at 1, less the leaf of
-    # a witness.  The oracle costs 3^m vectors per node, so pairs whose
-    # DFS exceeds 60 nodes are not compared.
-    walks, passes = [], []
+    def counting_rows(rewrites, lift, values):
+        lifts.append(lift)
+        return _cp1_rows(rewrites, lift, values)
 
     def counting_scan(*args):
         walks.append(args)
         return _scan(*args)
+
+    monkeypatch.setattr(search, "_cp1_rows", counting_rows)
+    monkeypatch.setattr(search, "_scan", counting_scan)
+    witness = iso_search(build_ring(t), build_ring(tp), bound)
+    assert len(lifts) == len(set(lifts))
+    assert len(walks) == (1 if 2 in t.dims else 0)
+    assert len(lifts) + len(walks) == lists
+    assert (witness is not None) == found
+
+
+def test_iso_search_shares_walks_between_stage_images(seed, monkeypatch):
+    # Bott towers with zero entries have stages whose c_1 skips earlier
+    # generators, so DFS nodes whose prefixes differ only in skipped rows
+    # have one lift and share one solve.  The search must still agree with
+    # the oracle, and solve fewer rows than its DFS has nodes: the root,
+    # plus a child per candidate that keeps the minors gcd at 1, less the
+    # leaf of a witness.  No row of a Bott tower walks a scan.  The oracle
+    # costs 3^m vectors per node, so pairs whose DFS exceeds 60 nodes are
+    # not compared.
+    walks, passes = [], []
+
+    def counting_rows(*args):
+        walks.append(args)
+        return _cp1_rows(*args)
+
+    def failing_scan(*args):
+        raise AssertionError("a Bott tower search walked a scan")
 
     def counting_minors_gcd(rows, ncols):
         g = minors_gcd(rows, ncols)
         passes.append(g == 1)
         return g
 
-    monkeypatch.setattr(search, "_scan", counting_scan)
+    monkeypatch.setattr(search, "_cp1_rows", counting_rows)
+    monkeypatch.setattr(search, "_scan", failing_scan)
     monkeypatch.setattr(search, "minors_gcd", counting_minors_gcd)
     rng = random.Random(seed)
     compared = {True: 0, False: 0}
@@ -772,7 +908,7 @@ def test_iso_search_shares_walks_between_stage_images(seed, monkeypatch):
                     assert search_parity(t, tp, 1) == found
                     compared[found] += 1
     assert min(compared.values()) >= 1, compared
-    assert fewer, "no pair shared a walk"
+    assert fewer, "no pair shared a solve"
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 4, 8])
@@ -1002,11 +1138,15 @@ def test_iso_search_compiles_one_plan_per_stage_shape(monkeypatch):
     for source in (t, tp):
         target = build_ring(t)
         iso_search(target, build_ring(source), 1)
-        # row 1 walks z^2 = 0 and every later row z^2 = c_1^2: the one
-        # {2: 1} plan of the target ring
-        assert list(target._scan_plans) == [((2, (0,)),)]
+        # every row is CP^1, solved in closed form: no plan is compiled
+        assert target._scan_plans == {}
+    # GEN's CP^2 row compiles the plans of its depressed cubic only
+    target = build_ring(GEN)
+    assert iso_search(target, build_ring(GEN_DUAL), 2) is not None
+    assert target._scan_plans and all(max(t for t, _ in shape) == 3
+                                      for shape in target._scan_plans)
     # a 3-stage classification that reaches the search: the residue walks
-    # of both rings and every row of the search share each ring's one plan
+    # of both rings share each ring's one plan, and the search adds none
     rings = []
     real_build_ring = classify.build_ring
 
