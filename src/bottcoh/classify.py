@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ModulusError, TowerFormatError
 from .ring import BottRing, CohomologyClass, build_ring
-from .search import _check_bound, _scan, iso_search
+from .search import _check_bound, _square_rewrites, _square_zero_residues, iso_search
 from .towers import TowerSpec, validate_tower
 
 DIFFEOMORPHIC = "DIFFEOMORPHIC"
@@ -264,9 +264,10 @@ def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
     """Number of nonzero degree-2 classes with zero square over Z/modulus.
 
     The count runs over the full finite coefficient module (every residue
-    vector), which makes it invariant under any ring isomorphism.  It scans
-    the tower's ring over Z modulo ``modulus``: the relations are monic with
-    integer coefficients, so this is the count in the ring over Z/modulus.
+    vector), which makes it invariant under any ring isomorphism.  It solves
+    the degree-2 column equations of the tower's ring modulo ``modulus``:
+    the relations are monic with integer coefficients, so this is the count
+    in the ring over Z/modulus.
     """
     if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 2:
         raise ModulusError(f"modulus must be an integer >= 2, got {modulus!r}")
@@ -274,21 +275,12 @@ def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
 
 
 def _residue_square_zero_count(ring: BottRing, modulus: int) -> int:
-    """The Z/modulus square-zero count of a ring over Z, from one residue
-    scan; the ring keeps the {2: 1} plan for every modulus.
-
-    When 4 divides n = ``modulus`` the scan walks only the residues
-    range(n/2).  The relations are integral, so for b' in {0, 1}^m
-
-        h_(b + (n/2) b')^2 = h_b^2 + n h_b h_b' + (n^2/4) h_b'^2 == h_b^2 (mod n):
-
-    the solutions, zero included, are the 2^m lifts of those in the half
-    box, and the count of the nonzero ones is 2^m (1 + hits) - 1.
-    """
-    if modulus % 4:
-        return sum(1 for _ in _scan(ring, {2: ring.one()}, range(modulus), modulus))
-    hits = sum(1 for _ in _scan(ring, {2: ring.one()}, range(modulus // 2), modulus))
-    return 2**ring.height * (1 + hits) - 1
+    """The Z/modulus square-zero count of a ring over Z, from the column
+    equations of x^2 = 0 (:func:`search._square_zero_residues`): it reads
+    how the ring rewrites each y_k^2, compiles no plan and walks no scan.
+    When 4 divides the modulus n it tries the residues range(n/2) only and
+    lifts each solution to 2^m."""
+    return _square_zero_residues(_square_rewrites(ring), modulus)
 
 
 def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
@@ -303,11 +295,12 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     over Z/8 is compared last, and if it agrees too the verdict is UNKNOWN.
 
     Each tower gets one ring, over Z, built once the p1 test has passed:
-    the residue counts scan it modulo 2, 4 and 8, sharing its compiled
-    {2: 1} scan plan, and the search runs on it, solving each row in closed
-    form with no plan.  The counts
-    modulo 4 and 8 walk half the residues per coordinate: a square mod n
-    (4 | n) does not change when n/2 is added to any coordinate, since
+    its square rewrites are read once and solve the column equations of
+    x^2 = 0 modulo 2, 4 and 8 (:func:`search._square_zero_residues`), and
+    the search runs on it, solving each row in closed form.  No step
+    compiles a scan plan or walks a scan.  The counts modulo 4 and 8 try
+    half the residues per coordinate: a square mod n (4 | n) does not change
+    when n/2 is added to any coordinate, since
     (h + (n/2) h')^2 = h^2 + n h h' + (n^2/4) h'^2, so each solution in
     the half box stands for 2^3 of them.
     """
@@ -319,10 +312,11 @@ def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:
     if p1 != p1p:
         return Verdict(DISTINCT, invariant=("p1_content", p1, p1p), bound=bound)
     ring, ring_p = build_ring(t), build_ring(tp)
+    rewrites, rewrites_p = _square_rewrites(ring), _square_rewrites(ring_p)
 
     def count_differs(modulus):
-        count = _residue_square_zero_count(ring, modulus)
-        count_p = _residue_square_zero_count(ring_p, modulus)
+        count = _square_zero_residues(rewrites, modulus)
+        count_p = _square_zero_residues(rewrites_p, modulus)
         if count != count_p:
             return Verdict(DISTINCT, bound=bound, invariant=(
                 f"square_zero_count_mod{modulus}", count, count_p))

@@ -3,16 +3,18 @@
 One scan primitive ("generate, in lexicographic order, the coefficient
 vectors b in a box where a fixed polynomial expression in the class sum
 b_j y_j vanishes") serves the square-zero search used by the
-rational-product criterion, the residue-box square-zero counts of the
-3-stage invariant battery, and the rows of fiber n >= 2 in the row-by-row
+rational-product criterion and the rows of fiber n >= 2 in the row-by-row
 search for unimodular matrices inducing graded ring isomorphisms; a row of
-a CP^1 stage, a quadratic, is solved in closed form.  Only rings over Z are
-scanned and searched; a question over Z/n is a walk of the integer ring
-modulo n, named by the caller.  The relations are monic with integer
-coefficients, so the normal form over Z/n is the normal form over Z reduced
-mod n, and a walk mod n of the integer ring finds what a scan of the Z/n
-ring would find.  The ring is free over Z, so an integer class vanishes
-over Q exactly when it vanishes over Z.
+a CP^1 stage, a quadratic, is solved in closed form, and the residue-box
+square-zero counts of the 3-stage invariant battery solve the same column
+equations modulo n (``_square_zero_residues``) with no plan and no walk.
+Only rings over Z are scanned and searched; a question over Z/n is asked
+of the integer ring modulo n, which a walk's caller names.  The relations
+are monic with integer coefficients, so the normal form over Z/n is the
+normal form over Z reduced mod n, and a walk (or a count) mod n of the
+integer ring finds what one in the Z/n ring would find.  The ring is free
+over Z, so an integer class vanishes over Q exactly when it vanishes over
+Z.
 
 The expression is one polynomial in b per basis monomial, linear in the
 pieces, which all have a positive exponent: every caller's expression
@@ -482,6 +484,51 @@ def _cp1_rows(rewrites: tuple, lift: tuple, values: range) -> list:
     found.remove((0,) * len(lift))  # x = 0 is found once, as every x is
     found.sort()
     return found
+
+
+def _square_zero_residues(rewrites: tuple, modulus: int) -> int:
+    """Number of nonzero x in (Z/n)^m, n = ``modulus``, with x^2 = 0 in H^4
+    over Z/n, ``rewrites`` the ring's :func:`_square_rewrites`.
+
+    These are the equations of :func:`_cp1_rows` with L = 0: the
+    coefficient of y_j y_k (j < k) in x^2 is x_k (2 x_j - C_kj x_k), and when
+    n_k >= 2 (C_kj = 0) y_k^2 has the coefficient x_k^2.  Each involves one
+    pair of coordinates, so x_j is fixed from the last coordinate down and
+    each residue v is tried against the x_k fixed above it, k > j, with no
+    division: 2 v - C_kj x_k has no unique inverse mod n in general.  The
+    leaves are the solutions, x = 0 among them.
+
+    When 4 divides n only the residues range(n/2) are tried.  The relations
+    are integral, so for b' in {0, 1}^m
+
+        h_(b + (n/2) b')^2 = h_b^2 + n h_b h_b' + (n^2/4) h_b'^2 == h_b^2 (mod n):
+
+    the solutions, zero included, are the 2^m lifts of those in the half
+    box, and the count of the nonzero ones is 2^m (1 + hits) - 1.
+    """
+    n = modulus
+    lifted = not n % 4
+    values = range(n // 2 if lifted else n)
+    m = len(rewrites)
+    suffixes = [()]  # the solutions x_(j+1).. of the columns above j
+    for j in range(m - 1, -1, -1):
+        square = rewrites[j][0]
+        fixed = []
+        for suffix in suffixes:
+            # column k of x_j = v: x_k (2 v - C_kj x_k) == 0 (mod n)
+            pairs = [(2 * xk, rewrites[k][1][j] * xk * xk)
+                     for k, xk in enumerate(suffix, j + 1) if xk]
+            for v in values:
+                if square and v * v % n:
+                    continue
+                for a, b in pairs:
+                    if (a * v - b) % n:
+                        break
+                else:
+                    fixed.append((v,) + suffix)
+        suffixes = fixed
+    hits = len(suffixes) - 1
+    return 2**m * (1 + hits) - 1 if lifted else hits
 
 
 def _lower_columns_vanish(rewrites: tuple, lift: tuple, x: list) -> bool:

@@ -28,9 +28,10 @@ tower's rows, where the package reads each stage's factor from the Chern
 classes of its stage table; the sympy tangent classes expand the same
 products symbolically and reduce them by the Groebner basis.  The exact
 rank eliminates over Q on fractions; the package has no rank routine.
-The full residue count walks every residue per coordinate, where the
-package walks half of them when 4 divides the modulus; it shares the
-package's walk, which the brute-force count checks on its own.  The
+The full residue count walks the scan over every residue per coordinate,
+where the package solves the column equations of x^2 = 0 and tries half
+the residues when 4 divides the modulus; it shares the package's scan,
+which the brute-force count checks on its own.  The
 expanded map check sends every term of each relation through the matrix,
 where the package multiplies the stage's root factors.
 """

@@ -372,13 +372,13 @@ def test_classify_3stage_builds_one_integer_ring_per_tower(built_rings, rng, mon
     import bottcoh.classify
 
     moduli = []
-    real_count = bottcoh.classify._residue_square_zero_count
+    real_count = bottcoh.classify._square_zero_residues
 
-    def recording_count(ring, modulus):
+    def recording_count(rewrites, modulus):
         moduli.append(modulus)
-        return real_count(ring, modulus)
+        return real_count(rewrites, modulus)
 
-    monkeypatch.setattr(bottcoh.classify, "_residue_square_zero_count", recording_count)
+    monkeypatch.setattr(bottcoh.classify, "_square_zero_residues", recording_count)
     pinned = [
         ((-3, -3, -3), (0, 0, 1), 4),  # p1 content
         ((-3, -3, 0), (0, 0, 1), 4),  # Z/2 count

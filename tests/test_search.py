@@ -33,6 +33,7 @@ from bottcoh.search import (
     _lift,
     _scan,
     _square_rewrites,
+    _square_zero_residues,
     _stage_record,
     _stage_relation,
 )
@@ -920,7 +921,7 @@ def test_square_zero_count_mod_matches_oracle(modulus):
 
 @pytest.mark.parametrize("modulus", [2, 3, 4, 8, 12, 16])
 def test_lifted_residue_count_matches_the_full_walk(modulus, rng):
-    # when 4 | n the count walks range(n/2) and lifts each hit to 2^m
+    # when 4 | n the count tries range(n/2) and lifts each hit to 2^m
     # solutions; the full walk over range(n) must agree, on census 3,
     # seeded height-4 and height-5 Bott towers and generalized towers
     seeded = [bott_tower([[rng.randint(-3, 3) for _ in range(k)] for k in range(m)])
@@ -936,26 +937,73 @@ def test_lifted_residue_count_matches_the_full_walk(modulus, rng):
     assert len(counts) > 2, counts
 
 
+@pytest.mark.parametrize("modulus", [2, 3, 4, 6, 8, 9, 12])
+def test_residue_count_matches_oracle_on_generalized_towers(modulus, rng):
+    # CP^2 and CP^3 stages above and below CP^1 stages: y_k^2 of a stage of
+    # fiber n_k >= 2 is a basis monomial, so x_k^2 must vanish on its own,
+    # and some solutions of the pair conditions alone fail that
+    rejected = 0
+    for dims in [(2, 1, 1), (1, 3, 1), (1, 1, 2), (3, 1), (1, 2), (2, 1, 3), (1, 2, 1)]:
+        stages = [(n, [[rng.randint(-3, 3) for _ in range(i)] for _ in range(n)])
+                  for i, n in enumerate(dims)]
+        tower = validate_tower(stages)
+        rewrites = _square_rewrites(build_ring(tower))
+        count = _square_zero_residues(rewrites, modulus)
+        assert count == brute_force_square_zero_count(tower, modulus), (tower, modulus)
+        unsquared = tuple((False, ck) for _, ck in rewrites)
+        rejected += _square_zero_residues(unsquared, modulus) > count
+    assert rejected
+
+
+def test_classify_3stage_walks_no_scan(rng, monkeypatch):
+    # the battery's residue counts solve the column equations of x^2 = 0
+    # and the search solves each CP^1 row in closed form: on census 3, each
+    # tower against its sign twist and a random partner, no scan is walked
+    # and no ring keeps a plan
+    rings = []
+    real_build_ring = classify.build_ring
+
+    def recording_build_ring(*args):
+        rings.append(real_build_ring(*args))
+        return rings[-1]
+
+    def failing_scan(*args):
+        raise AssertionError("a 3-stage classification walked a scan")
+
+    monkeypatch.setattr(search, "_scan", failing_scan)
+    monkeypatch.setattr(classify, "build_ring", recording_build_ring)
+    kinds = set()
+    for a, b, c in iproduct(range(-3, 4), repeat=3):
+        t = bott_tower_3(a, b, c)
+        for tp in (bott_tower_3(a, -b, -c), rng.choice(CENSUS_3)):
+            v = classify_3stage(t, tp)
+            kinds.add(v.invariant[0] if v.invariant else v.kind)
+    assert rings and all(r._scan_plans == {} for r in rings)
+    assert {"square_zero_count_mod2", "square_zero_count_mod4",
+            classify.DIFFEOMORPHIC} <= kinds, kinds
+
+
 def test_residue_count_walks_half_the_residues_when_four_divides(monkeypatch):
-    walks = []
-    real_scan = classify._scan
+    # the residues tried per coordinate are the one-argument ranges that
+    # the count asks of the search module: range(n/2) exactly when 4 | n
+    tried = []
 
-    def recording_scan(ring, pieces, values, mod=0, shift=None):
-        walks.append((tuple(values), mod))
-        return real_scan(ring, pieces, values, mod, shift)
+    def recording_range(*args):
+        if len(args) == 1:
+            tried.append(args[0])
+        return range(*args)
 
-    monkeypatch.setattr(classify, "_scan", recording_scan)
+    monkeypatch.setattr(search, "range", recording_range, raising=False)
     ring = build_ring(bott_tower_3(-4, -2, -3))
     for n in (2, 3, 4, 6, 8, 12, 16):
         classify._residue_square_zero_count(ring, n)
-    assert walks == [(tuple(range(n // 2 if n % 4 == 0 else n)), n)
-                     for n in (2, 3, 4, 6, 8, 12, 16)]
+    assert tried == [n // 2 if n % 4 == 0 else n for n in (2, 3, 4, 6, 8, 12, 16)]
 
 
 def test_every_scan_walks_pieces_of_positive_exponent(rng, monkeypatch):
-    # no caller has a constant piece: the square-zero searches, the residue
-    # counts of the 3-stage battery and every row of the isomorphism search
-    # pass pieces of exponent t >= 1 only, on census 3 and on seeded
+    # no caller has a constant piece: the square-zero searches and every
+    # row of the isomorphism search pass pieces of exponent t >= 1 only, on
+    # census 3 (whose 3-stage classifications walk no scan) and on seeded
     # generalized towers, whose rows of fiber >= 2 have several pieces
     keys = []
 
@@ -964,7 +1012,6 @@ def test_every_scan_walks_pieces_of_positive_exponent(rng, monkeypatch):
         return _scan(ring, pieces, *args)
 
     monkeypatch.setattr(search, "_scan", recording_scan)
-    monkeypatch.setattr(classify, "_scan", recording_scan)
     for a, b, c in iproduct(range(-3, 4), repeat=3):
         t = bott_tower_3(a, b, c)
         square_zero_elements(build_ring(t), 2, 1)
@@ -1145,8 +1192,9 @@ def test_iso_search_compiles_one_plan_per_stage_shape(monkeypatch):
     assert iso_search(target, build_ring(GEN_DUAL), 2) is not None
     assert target._scan_plans and all(max(t for t, _ in shape) == 3
                                       for shape in target._scan_plans)
-    # a 3-stage classification that reaches the search: the residue walks
-    # of both rings share each ring's one plan, and the search adds none
+    # a 3-stage classification that reaches the search: the residue counts
+    # solve column equations and the search solves CP^1 rows, so neither
+    # ring keeps a plan
     rings = []
     real_build_ring = classify.build_ring
 
@@ -1159,7 +1207,7 @@ def test_iso_search_compiles_one_plan_per_stage_shape(monkeypatch):
                               bott_tower([[], [-2], [-1, 1]]))
     assert verdict.witness is not None
     assert len(rings) == 2
-    assert [list(r._scan_plans) for r in rings] == [[((2, (0,)),)]] * 2
+    assert [r._scan_plans for r in rings] == [{}, {}]
 
 
 def plan_polynomials(plan):
