@@ -32,20 +32,28 @@ skipped before its binomials, so CP^n costs O(n) of them, not O(n^2).
 
 Wu classes are solved degree by degree from the pairing identity
 integrate(v_d . x) = integrate(Sq^{2d}(x)) against the monomial basis.
-Both sides are read from one functional, integrate(y^f), the top
-coefficient of the normal form of y^f, and the right-hand side from the
-pairing row itself: Sq(y^e) = prod_j (y_j + y_j^2)^{e_j} has an odd
-coefficient on y^{e+k} exactly when every k_j is a submask of e_j (Lucas'
-theorem), so integrate(Sq^{2d}(y^e)) is the parity of the row entries
+Both sides are read from one functional, integrate(y^f) mod 2, and the
+right-hand side from the pairing row itself: Sq(y^e) =
+prod_j (y_j + y_j^2)^{e_j} has an odd coefficient on y^{e+k} exactly when
+every k_j is a submask of e_j (Lucas' theorem), so
+integrate(Sq^{2d}(y^e)) is the parity of the row entries
 integrate(y^{e+k}) in the columns k that are submasks of e, and v_d = 0
-for d > top // 2.  Exponent vectors are packed into ints with fields wide
-enough for e + g, so each pairing entry is one int add and one lookup of
-a parity cached per call; only a new e + g is normalized.  Rows are packed
-into ints and eliminated over Z/2.  The
-total Stiefel-Whitney class is Sq(v).  The generator sign convention is
-fixed throughout: y_i is minus the first Chern class of the stage's
-tautological line bundle, so any comparison with the opposite convention
-must negate the degree-2 generators first.
+for d > top // 2.  The functional takes no normal form.  Stage i is the
+projectivization of a bundle E of rank n_i + 1, so H* of the tower is free
+over H* of the tower below on 1, y_i, ..., y_i^{n_i}, and the pushforward
+sends y_i^{n_i+j} to the Segre class s_j(E), where s_0 = 1 and
+s_j = -sum_{q=1..min(j,n_i)} c_q s_{j-q}, and lower powers to 0.  So
+integrate(y^f) is the sum, over the monomials y^t of s_{f_i - n_i}, of the
+integrals of y^{f'+t} one stage down (f' the exponents below stage i), and
+the integral over a point is 1.  Mod 2 each s_j is a set of packed
+monomials and each integral is kept per call.  Exponent vectors are packed
+into ints with fields of top.bit_length() bits, so each pairing entry is
+one int add and one lookup, and an entry with e_m + g_m < n_m at the last
+stage is 0 and never read.  Rows are packed into ints and eliminated over
+Z/2.  The total Stiefel-Whitney class is Sq(v).  The generator sign
+convention is fixed throughout: y_i is minus the first Chern class of the
+stage's tautological line bundle, so any comparison with the opposite
+convention must negate the degree-2 generators first.
 
 Classes of mixed degree are ordinary ring elements here; components above
 the top degree vanish in the ring, so no explicit truncation is needed.
@@ -58,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from operator import add, lshift, mul
+from operator import lshift, mul
 
 from .errors import DomainMismatchError, RingMismatchError
 from .linalg import solve_mod
@@ -205,6 +213,99 @@ def sq_component(u: CohomologyClass, k: int) -> CohomologyClass:
     return steenrod_square(u).homogeneous_part(d + k // 2)
 
 
+class _TopIntegral(dict):
+    """The parity of the top-degree integral of a ring over Z/2, pushed
+    forward through the Segre classes of the stages (see the module
+    docstring): ``self[self.pack(e)]`` is integrate(y^e) mod 2 for e of
+    degree ``ring.top_degree``, computed on first lookup and kept.
+
+    Each s_j of stage k is the set of its packed monomials with odd
+    coefficient, built from the c_q of the Z/2 ring.  A key of degree
+    top_k = n_1 + ... + n_k names its level k, since top_k grows with k, so
+    one dict holds every level.  Keys pack one field of
+    ``top.bit_length()`` bits per coordinate, coordinate 0 lowest: every
+    exponent of a monomial of degree at most ``top`` fits, so two packed
+    monomials whose product has degree at most ``top`` add to the packed
+    product.  A miss is walked post-order with an explicit stack, as in
+    :meth:`BottRing._monomial_nf`, so the height of a tower is not bounded
+    by Python's recursion limit.
+    """
+
+    __slots__ = ("dims", "width", "shifts", "segre")
+
+    def __init__(self, ring: BottRing):  # ring.mod == 2
+        super().__init__({0: 1})  # the empty monomial over a point
+        self.dims = ring.dims
+        self.width = width = ring.top_degree.bit_length()
+        self.shifts = [width * k for k in range(ring.height)]
+        # segre[k][j] = s_j of stage k, for j up to the top degree of the
+        # base; after n zero classes in a row every later one is zero, and
+        # the list stops there
+        self.segre = []
+        base_top = 0
+        for n, chern in zip(ring.dims, ring.chern):
+            # over Z/2 every stored coefficient of c_q is 1
+            cs = [[self.pack(g) for g in cq] for cq in chern]
+            s = [{0}]
+            while len(s) <= base_top and any(s[-n:]):
+                j = len(s)
+                acc = set()
+                for q in range(1, min(j, n) + 1):
+                    for a in cs[q - 1]:
+                        acc ^= {a + b for b in s[j - q]}
+                s.append(acc)
+            self.segre.append(s)
+            base_top += n
+
+    def pack(self, e) -> int:
+        return sum(map(lshift, e, self.shifts))
+
+    def unpack(self, key: int) -> tuple:
+        field = (1 << self.width) - 1
+        return tuple((key >> shift) & field for shift in self.shifts)
+
+    def basis(self) -> list:
+        """The packed basis monomials, by degree and in lexicographic order
+        within a degree, as :meth:`BottRing.basis` lists them."""
+        by_degree = [[0]]
+        for n, shift in zip(reversed(self.dims), reversed(self.shifts)):
+            # prepend the exponent x of this stage to the monomials of the
+            # stages above it, x slowest
+            by_degree = [
+                [(x << shift) + p
+                 for x in range(max(0, d - len(by_degree) + 1), min(n, d) + 1)
+                 for p in by_degree[d - x]]
+                for d in range(len(by_degree) + n)
+            ]
+        return by_degree
+
+    def _keys_below(self, key: int, k: int):
+        """The keys y^(f' + t) of level k - 1 whose integrals sum to that of
+        the level-k key y^f."""
+        s = self.segre[k]
+        j = (key >> self.shifts[k]) - self.dims[k]
+        if j < 0 or j >= len(s):
+            return ()
+        base = key & ((1 << self.shifts[k]) - 1)
+        return [base + t for t in s[j]]
+
+    def __missing__(self, key: int) -> int:
+        k = len(self.dims) - 1
+        stack = [(key, k, self._keys_below(key, k))]
+        while stack:
+            f, k, keys = stack[-1]
+            waiting = False
+            for g in keys:
+                if g not in self:
+                    stack.append((g, k - 1, self._keys_below(g, k - 1)))
+                    waiting = True
+            if waiting:
+                continue
+            stack.pop()
+            self[f] = sum(map(self.__getitem__, keys)) & 1
+        return self[key]
+
+
 def wu_classes(tower) -> CohomologyClass:
     """Total Wu class over Z/2.
 
@@ -214,63 +315,58 @@ def wu_classes(tower) -> CohomologyClass:
     unimodular over Z, hence invertible mod 2, and a singular pairing would
     be an internal error.
 
-    Both sides are read from the top-degree functional
-    integrate(y^f) = coefficient of the top monomial in the normal form of
-    y^f.  The pairing row of x = y^e holds integrate(y^{e+g}) for the basis
-    monomials y^g of degree d.  Since Sq(y^e) = prod_j (y_j + y_j^2)^{e_j},
-    the right-hand side is the sum of integrate(y^{e+k}) over the y^k of
-    degree d with every binomial(e_j, k_j) odd, which by Lucas' theorem
-    means every k_j is a submask of e_j: the parity of the row's entries in
-    those columns, read from the row with no second integral.  Exponent
-    vectors packed one bit field per coordinate make the test one AND, and
-    with fields of (2 n_j).bit_length() bits pack(e) + pack(g) carries
-    nothing, so it keys the parity of integrate(y^{e+g}): each entry is one
-    int add and one lookup, and each distinct e + g is normalized once.
-    Such k satisfy |k| <= |e| = top - d, so for d > top // 2 the right-hand
-    side vanishes and v_d = 0; the pairings of those degrees are transposes
-    of the ones solved, so every pairing is still checked for
-    invertibility.
+    Both sides are read from the top-degree functional integrate(y^f) mod
+    2, with no normal form (:class:`_TopIntegral`): stage k pushes y^f
+    forward to 0 when f_k < n_k, and otherwise to the sum of y^(f' + t)
+    over the monomials y^t of the Segre class s_(f_k - n_k) of the stage,
+    where f' are the exponents below stage k, s_0 = 1 and
+    s_j = -sum_(q=1..min(j, n_k)) c_q s_(j-q); the integral over a point
+    is 1.  The pairing row of
+    x = y^e holds integrate(y^{e+g}) for the basis monomials y^g of degree
+    d.  Since Sq(y^e) = prod_j (y_j + y_j^2)^{e_j}, the right-hand side is
+    the sum of integrate(y^{e+k}) over the y^k of degree d with every
+    binomial(e_j, k_j) odd, which by Lucas' theorem means every k_j is a
+    submask of e_j: the parity of the row's entries in those columns, read
+    from the row with no second integral.  Such k satisfy
+    |k| <= |e| = top - d, so for d > top // 2 the right-hand side vanishes
+    and v_d = 0; the pairings of those degrees are transposes of the ones
+    solved, so every pairing is still checked for invertibility.
+
+    Basis monomials are packed one bit field per coordinate, which makes
+    the submask test one AND, and pack(e) + pack(g) is the key of y^{e+g}:
+    each entry is one int add and one lookup.  The last stage pushes
+    y^{e+g} forward to 0 when e_m + g_m < n_m, so the row of y^e reads only
+    the columns with g_m >= n_m - e_m.
     """
     ring = build_ring(tower, 2)
     top = ring.top_degree
-    top_mono = ring._top
-    nf = ring._monomial_nf
-    # pack(k) & pack(e) == pack(k) exactly when every k_j is a submask of
-    # e_j, and pack(e) + pack(g) == pack(e + g) since e_j + g_j <= 2 n_j
-    # fits its field; normal forms over Z/2 are only congruent mod 2, so
-    # the top coefficient is read by its parity
-    shifts = []
-    width = 0
-    for n in ring.dims:
-        shifts.append(width)
-        width += (2 * n).bit_length()
-
-    def pack(e):
-        return sum(map(lshift, e, shifts))
-
-    parity = {}
+    last = ring.dims[-1]
+    integral = _TopIntegral(ring)
+    shift = integral.shifts[-1]  # g_m = pack(g) >> shift
+    basis = integral.basis()
     terms = {(0,) * ring.height: 1}
     for d in range(1, top // 2 + 1):  # v component in H^{2d}
-        comp = ring.basis(d)
-        cols = [(g, pack(g), 1 << j) for j, g in enumerate(comp)]
+        comp = basis[d]
+        cols = [(g, 1 << j) for j, g in enumerate(comp)]
+        reach = {}  # t -> the columns (pack(g), bit) with g_m >= t
         rows = []
         rhs = []
-        for e in ring.basis(top - d):
-            packed = pack(e)
+        for e in basis[top - d]:
+            t = last - (e >> shift)
+            reached = reach.get(t)
+            if reached is None:
+                reached = reach[t] = [c for c in cols if c[0] >> shift >= t]
             row = odd = 0
-            for g, k, bit in cols:
-                odd_entry = parity.get(packed + k)
-                if odd_entry is None:
-                    odd_entry = parity[packed + k] = (
-                        nf(tuple(map(add, e, g))).get(top_mono, 0) & 1)
-                if odd_entry:
+            for g, bit in reached:
+                # g & e == g exactly when every g_j is a submask of e_j
+                if integral[e + g]:
                     row |= bit
-                    if k & packed == k:
+                    if g & e == g:
                         odd ^= 1
             rows.append(row)
             rhs.append(odd)
         sol = solve_mod(rows, rhs)
-        terms.update((g, 1) for g, s in zip(comp, sol) if s)
+        terms.update((integral.unpack(g), 1) for g, s in zip(comp, sol) if s)
     return CohomologyClass(ring, terms)
 
 

@@ -346,13 +346,17 @@ def _stage_record(ring: BottRing, i: int) -> tuple:
     c_1 = sum_j a_j y_(j+1), reads the generators (0-based j < i - 1) that
     the c_q involve, which are the earlier rows of a matrix that row i's
     relation depends on, and higher the c_q for q >= 2, each times
-    (n + 1)^q."""
+    (n + 1)^q.  A CP^1 row is solved from (n + 1, c1) alone
+    (:func:`_cp1_rows`), so its reads and higher are empty."""
     chern = ring.chern[i - 1]
     top = ring.dims[i - 1] + 1
+    c1 = tuple((g.index(1), a) for g, a in chern[0].items())
+    if top == 2:
+        return top, c1, (), ()
     reads = tuple(sorted({j for cq in chern for g in cq for j, e in enumerate(g) if e}))
     higher = tuple({g: c * top**q for g, c in cq.items()}
                    for q, cq in enumerate(chern[1:], start=2))
-    return top, tuple((g.index(1), a) for g, a in chern[0].items()), reads, higher
+    return top, c1, reads, higher
 
 
 def _lift(c1, rows, m: int) -> tuple:

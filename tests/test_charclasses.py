@@ -1,4 +1,5 @@
 from itertools import product as iproduct
+from math import comb
 
 import pytest
 
@@ -354,6 +355,106 @@ def test_wu_classes_match_brute_force_oracle_on_wide_fibers(rng):
     ]
     for tower in towers:
         assert wu_classes(tower) == brute_force_wu_classes(tower), tower
+
+
+def pairing_exponents(ring):
+    """Every y^(e+g) of the Wu pairings of a ring: e of degree top - d and g
+    of degree d, for 1 <= d <= top // 2."""
+    top = ring.top_degree
+    for d in range(1, top // 2 + 1):
+        for e in ring.basis(top - d):
+            for g in ring.basis(d):
+                yield tuple(a + b for a, b in zip(e, g))
+
+
+def test_pushforward_parity_is_the_normal_form_parity(rng):
+    # the integral pushed forward through the Segre classes of each stage
+    # against the top coefficient of the Z/2 normal form, on every entry of
+    # every pairing, including those the last stage sends to 0
+    towers = [
+        validate_tower([(3, []), (3, [[2], [2], [-1]])]),  # c_2 = 0 over Z
+        product_tower((16,)),
+    ]
+    for height in range(1, 5):
+        for dims in iproduct(range(1, 5), repeat=height):
+            if sum(dims) <= 8:
+                towers.append(validate_tower([
+                    (n, [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)])
+                    for k, n in enumerate(dims)
+                ]))
+    assert {t.height for t in towers} == {1, 2, 3, 4}
+    assert {n for t in towers for n in t.dims} >= {1, 2, 3, 4}
+    skipped = 0
+    for tower in towers:
+        ring = build_ring(tower, 2)
+        integral = charclasses._TopIntegral(ring)
+        top = ring._top
+        for f in pairing_exponents(ring):
+            want = ring._monomial_nf(f).get(top, 0) & 1
+            assert integral[integral.pack(f)] == want, (tower, f)
+            skipped += f[-1] < top[-1]
+    assert skipped > 0
+
+
+def test_pushforward_lists_the_basis_packed():
+    for tower in (product_tower((1,)), product_tower((3, 1, 2)),
+                  validate_tower([(2, []), (1, [[1]]), (3, [[1, 0], [0, 1], [1, 1]])])):
+        ring = build_ring(tower, 2)
+        integral = charclasses._TopIntegral(ring)
+        packed = integral.basis()
+        assert len(packed) == ring.top_degree + 1
+        for d, monos in enumerate(packed):
+            assert monos == [integral.pack(e) for e in ring.basis(d)], (tower, d)
+            assert [integral.unpack(p) for p in monos] == list(ring.basis(d))
+
+
+def test_wu_classes_take_no_normal_form(rng, monkeypatch):
+    # the pairings are read from the pushforward: every normal form a Wu
+    # solve takes is one that building its Z/2 ring takes, and a Bott tower
+    # (one root per stage) or a product builds its ring with none
+    monomial_nf = BottRing._monomial_nf
+    calls = []
+
+    def counting_nf(ring, e):
+        calls.append(e)
+        return monomial_nf(ring, e)
+
+    monkeypatch.setattr(BottRing, "_monomial_nf", counting_nf)
+    built = 0
+    for tower in seeded_wu_towers(rng):
+        calls.clear()
+        build_ring(tower, 2)
+        want = len(calls)
+        calls.clear()
+        wu_classes(tower)
+        assert len(calls) == want, tower
+        built += bool(want)
+    assert built > 0
+    for tower in (bott_tower_3(1, -2, 3), hirzebruch(3), product_tower((16,)),
+                  product_tower((8, 8))):
+        calls.clear()
+        wu_classes(tower)
+        assert not calls, tower
+
+
+def test_wu_classes_of_a_projective_space_of_high_dimension():
+    # one stage of fiber 2048: every degree has one row and one column, so
+    # the solve must cost no more than its entries, and Wu's formula
+    # w = Sq(v) gives back the Chern class (1 + y)^(n+1) mod 2
+    n = 2048
+    tower = product_tower((n,))
+    w = steenrod_square(wu_classes(tower))
+    assert w == build_ring(tower, 2).from_terms(
+        {(k,): comb(n + 1, k) for k in range(n + 1)})
+
+
+def test_pushforward_of_a_tall_tower_needs_no_recursion():
+    # a height past Python's recursion limit: the top monomial of
+    # (CP^1)^1100 integrates to 1, walked down one level per stage
+    ring = build_ring(product_tower((1,) * 1100), 2)
+    integral = charclasses._TopIntegral(ring)
+    assert integral[integral.pack(ring._top)] == 1
+    assert integral[integral.pack((2,) + (1,) * 1098 + (0,))] == 0
 
 
 def test_solve_mod_matches_elimination_on_lists(rng):

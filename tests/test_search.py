@@ -685,6 +685,7 @@ def test_cp1_stage_relation_needs_no_ring_arithmetic(monkeypatch):
             stage = _stage_record(ring, i)
             if stage[0] != 2:
                 continue
+            assert stage[2:] == ((), ())  # a CP^1 row reads only (n + 1, c1)
             calls.clear()
             lift = _lift(stage[1], rows[:i - 1], m)
             found = _cp1_rows(_square_rewrites(ring), lift, values)
