@@ -265,22 +265,14 @@ def _square_zero_count_mod(tower: TowerSpec, modulus: int) -> int:
 
     The count runs over the full finite coefficient module (every residue
     vector), which makes it invariant under any ring isomorphism.  It solves
-    the degree-2 column equations of the tower's ring modulo ``modulus``:
-    the relations are monic with integer coefficients, so this is the count
-    in the ring over Z/modulus.
+    the degree-2 column equations of the tower's ring modulo ``modulus``
+    (:func:`search._square_zero_residues`) and walks no scan: the relations
+    are monic with integer coefficients, so this is the count in the ring
+    over Z/modulus.
     """
     if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 2:
         raise ModulusError(f"modulus must be an integer >= 2, got {modulus!r}")
-    return _residue_square_zero_count(build_ring(tower), modulus)
-
-
-def _residue_square_zero_count(ring: BottRing, modulus: int) -> int:
-    """The Z/modulus square-zero count of a ring over Z, from the column
-    equations of x^2 = 0 (:func:`search._square_zero_residues`): it reads
-    how the ring rewrites each y_k^2, compiles no plan and walks no scan.
-    When 4 divides the modulus n it tries the residues range(n/2) only and
-    lifts each solution to 2^m."""
-    return _square_zero_residues(_square_rewrites(ring), modulus)
+    return _square_zero_residues(_square_rewrites(build_ring(tower)), modulus)
 
 
 def classify_3stage(tower, tower_prime, bound: int = 4) -> Verdict:

@@ -26,10 +26,7 @@ alone, so rings whose polynomials have the same supports (a tower and its
 sign twists, say) take one immutable walk, shared by support signature from
 a bounded module-level cache.  Each call fills the structure with the
 pieces' integer coefficients and then walks the box depth-first, one
-coordinate at a time, reducing by the modulus of the walk.  A walk over Z
-may substitute the affine coordinates z_j = s b_j + l_j (s > 0) for b_j,
-and then solves the expression less its value at z = l, which starts each
-polynomial's check; it still yields b, in the same order.
+coordinate at a time, reducing by the modulus of the walk.
 Fixing b_j substitutes it into the polynomials once for all the vectors
 that share the prefix b_1..b_j (shared substitution), and a polynomial that
 involves no coordinate after b_j is then a constant: a nonzero one rejects
@@ -37,8 +34,8 @@ the whole prefix at once (early rejection).  In a Bott tower the
 coefficient of y_l y_k in h^2 involves b_k and lower coordinates only, so
 most prefixes die well before the last coordinate.  Each level of the plan
 lays out a node's coefficients so that the child's slot c is the node's
-slot c, a term free of z_j: a child starts as a slice of its parent and
-pays a multiply-add only for the terms in which z_j occurs.
+slot c, a term free of b_j: a child starts as a slice of its parent and
+pays a multiply-add only for the terms in which b_j occurs.
 
 The isomorphism search fixes the rows of a matrix depth-first; the DFS is a
 recursive generator, taken at its first item.  Row i solves the stage
@@ -52,21 +49,18 @@ involves x_k and lower coordinates alone, and a value of x_k with
 x_k from the last coordinate down, walks no box and does no ring
 arithmetic, and sorts what it finds.  Its candidates depend on L alone,
 so every DFS node with the same L reads one list.  A row of fiber n >= 2
-walks its relation depressed by z = (n+1) x + c_1 so that the term in z^n
-vanishes, built in one pass from the record (``_stage_relation``).  x = 0
-solves every stage relation, so the depressed sum vanishes at z = c_1 and
-its constant is minus the value of the other terms there: no relation
-forms it, and the shifted walk reads that value along its own path b = 0.
-The c_q read only the rows of the generators they involve, so DFS nodes
-whose prefixes agree on those rows pull from one walk, which advances only
-as far as some node takes it.  It searches row 1 up to sign: every
-relation is homogeneous and the box is symmetric, so -M is a witness
-whenever M is, and only rows 1 whose first nonzero entry is negative are
-tried: in lexicographic order they come first, and the search stops at the
-first row 1 that leads positive.  Its unimodularity prune carries a column
-transform down the tree that clears the rows fixed so far, so each
-candidate row costs the gcd of its m - depth free entries instead of a
-reduction of the whole prefix.
+walks its stage relation as it stands, the pieces {n + 1 - q: image of
+c_q} built from the record (``_stage_relation``).  The c_q read only the
+rows of the generators they involve, so DFS nodes whose prefixes agree on
+those rows pull from one walk, which advances only as far as some node
+takes it.  It searches row 1 up to sign: every relation is homogeneous
+and the box is symmetric, so -M is a witness whenever M is, and only rows
+1 whose first nonzero entry is negative are tried: in lexicographic order
+they come first, and the search stops at the first row 1 that leads
+positive.  Its unimodularity prune carries a column transform down the
+tree that clears the rows fixed so far, so each candidate row costs the
+gcd of its m - depth free entries instead of a reduction of the whole
+prefix.
 
 Results are deterministic: candidates are enumerated in lexicographic order
 and the first complete witness is returned, which makes it the
@@ -96,7 +90,7 @@ def _compile(ring: BottRing, shape):
     """Scan structure shared by every call whose pieces have this shape.
 
     ``shape`` lists, per exponent t >= 1, the degrees that pieces[t]
-    occupies.  By the multinomial theorem the coefficient of z^alpha on the
+    occupies.  By the multinomial theorem the coefficient of b^alpha on the
     basis monomial mu is the sum over beta of
 
         pieces[|alpha|][beta] * multinomial(alpha) * NF(y^(beta + alpha))[mu],
@@ -115,7 +109,7 @@ def _compile(ring: BottRing, shape):
     multinomial(alpha) * NF(y^(beta + alpha))[mu], never reduced, so the
     plan serves a walk modulo any n (a weight that vanishes mod n only
     keeps a term that adds zero).  Nothing in the plan depends on the
-    largest exponent of a call or on its shift.
+    largest exponent of a call.
     """
     m = ring.height
     polys: dict = {}  # mu -> alpha -> [(t, beta, weight)]
@@ -145,14 +139,14 @@ def _compile(ring: BottRing, shape):
 
 @lru_cache(maxsize=128)
 def _plan(polys: tuple, m: int):
-    """Static plan of the walk over z_1..z_m for polynomials given by their
+    """Static plan of the walk over b_1..b_m for polynomials given by their
     supports (each a tuple of exponent vectors alpha).  Plans are cached by
     these arguments, the support signature and m, and shared between rings,
     so every part of one is a tuple and no caller changes it.
 
-    Entering level j (z_j is the next coordinate, 0-based), a polynomial
+    Entering level j (b_j is the next coordinate, 0-based), a polynomial
     still in play is held as one coefficient per distinct tail alpha[j:] of
-    its exponent vectors: a slot.  Fixing z_j = v sends the slot of tail
+    its exponent vectors: a slot.  Fixing b_j = v sends the slot of tail
     (k,) + s to the child's slot of s, times v^k.  A polynomial is settled
     at the level of the last coordinate it involves: fixing that coordinate
     leaves a constant.  Every polynomial must involve some coordinate.
@@ -166,11 +160,10 @@ def _plan(polys: tuple, m: int):
     Returns the slot map, per polynomial the root slot of each of its
     alphas in order, the levels, per level ``(checks, spread, width)``, and
     the root's number of slots.  ``checks`` holds, per polynomial settled
-    there, the pair (terms, start): its value is start plus the sum of
-    coeff * v^k over its (slot, k) terms, and the start is 0 here, for a
-    shifted walk to set in its own copy of the levels; ``spread`` holds the
-    (slot, child slot, k) multiply-adds, all of k >= 1, that add to the
-    child's copied slots; ``width`` is the child's number of slots.
+    there, its (slot, k) terms: its value is the sum of coeff * v^k over
+    them; ``spread`` holds the (slot, child slot, k) multiply-adds, all of
+    k >= 1, that add to the child's copied slots; ``width`` is the child's
+    number of slots.
     """
     last = [max(j for a in poly for j, e in enumerate(a) if e) for poly in polys]
     terms = [(p, a) for p, poly in enumerate(polys) for a in poly]
@@ -192,8 +185,7 @@ def _plan(polys: tuple, m: int):
                 checks.setdefault(child, []).append((s, k))
             elif k:
                 spread.append((s, child, k))
-        levels.append((tuple((tuple(pairs), 0) for pairs in checks.values()),
-                       tuple(spread), width))
+        levels.append((tuple(map(tuple, checks.values())), tuple(spread), width))
         width = len(index)
     slots: list[list] = [[] for _ in polys]
     for (p, _), s in zip(terms, slot):
@@ -201,47 +193,37 @@ def _plan(polys: tuple, m: int):
     return tuple(map(tuple, slots)), tuple(reversed(levels)), width
 
 
-def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
+def _scan(ring: BottRing, pieces: dict, values, mod=0):
     """Generate every nonzero b in values^m, in lexicographic order, with
 
-        sum_(t>=1) pieces[t] * (h_z^t - h_l^t) == 0 (mod ``mod``)
+        sum_(t>=1) pieces[t] * h_b^t == 0 (mod ``mod``)
 
-    in a ring over Z, h_z = sum_j z_j y_j, where z_j = s * b_j + l_j for
-    ``shift`` = (s, l) with s > 0, and z = b, l = 0 without one: an
-    unshifted walk solves sum_t pieces[t] * h_b^t == 0.  ``pieces`` maps
-    exponents t >= 1 to classes; a smaller exponent raises ValueError
-    before any plan is compiled.
+    in a ring over Z, h_b = sum_j b_j y_j.  ``pieces`` maps exponents
+    t >= 1 to classes; a smaller exponent raises ValueError before any plan
+    is compiled.
 
     ``values`` lists the coefficients tried per coordinate, in order: a
     bounded search passes range(-bound, bound + 1), a count over Z/n passes
     the residues range(n).  ``mod`` is the modulus of the walk, 0 for none;
     the caller names it, and a walk mod n gives what the same scan of the
-    ring over Z/n would give.  A shifted walk is over Z (``mod`` 0), where
-    the isomorphism search uses it for its depressed stage relations of
-    fiber n >= 2 (see :func:`_stage_relation`): the value at z = l of its
-    pieces is minus the constant that each depressed relation leaves out.
-    z_j is increasing in b_j, so the order is kept.  Pieces above the top
-    degree add zero.
+    ring over Z/n would give.  Pieces above the top degree add zero.
 
     The scan structure is compiled once per ring and shape of the pieces
-    (see :func:`_compile`) and kept on the ring, whatever the modulus or
-    shift, its walk shared by support signature with other rings; each
-    call fills the root's coefficients from the pieces (reduced mod n in a
-    walk mod n).  A walk with l != 0 reads each polynomial's value at z = l
-    along its own path b = 0, in one pass over the levels that starts each
-    settling check at minus that value in a copy of the levels for this
-    call.  It then walks the polynomials depth-first over the coordinates,
-    with an explicit stack, in the order of ``values`` at each level.  A
-    node is a prefix b_1..b_j with the coefficients of the polynomials
-    still in play after substituting z_1..z_j (see :func:`_plan`); a child,
-    also on the path b = 0, is the slice of the node's first ``width``
-    slots, the terms free of z_j, plus one multiply-add per ``spread``
-    entry, a term in z_j^k with k >= 1.  A polynomial settled by the
-    child's coordinate must vanish (mod n in a walk mod n), else the child
-    and its whole subtree are skipped; once settled it is dropped.  At the
-    last coordinate every remaining polynomial is univariate and settles,
-    so a leaf is a solution exactly when all of them vanish.  The walk is
-    lazy: it advances only as far as its consumer takes vectors.
+    (see :func:`_compile`) and kept on the ring, whatever the modulus, its
+    walk shared by support signature with other rings; each call fills the
+    root's coefficients from the pieces (reduced mod n in a walk mod n).
+    It then walks the polynomials depth-first over the coordinates, with an
+    explicit stack, in the order of ``values`` at each level.  A node is a
+    prefix b_1..b_j with the coefficients of the polynomials still in play
+    after substituting b_1..b_j (see :func:`_plan`); a child is the slice
+    of the node's first ``width`` slots, the terms free of b_j, plus one
+    multiply-add per ``spread`` entry, a term in b_j^k with k >= 1.  A
+    polynomial settled by the child's coordinate must vanish (mod n in a
+    walk mod n), else the child and its whole subtree are skipped; once
+    settled it is dropped.  At the last coordinate every remaining
+    polynomial is univariate and settles, so a leaf is a solution exactly
+    when all of them vanish.  The walk is lazy: it advances only as far as
+    its consumer takes vectors.
     """
     for t in pieces:
         if t < 1:
@@ -261,36 +243,16 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
                 root[s] += c * w
     if mod:
         root = [c % mod for c in root]
-    scale, lift = shift or (1, (0,) * m)
-    top = max(live, default=0)
-    if any(lift):
-        # each settling check starts at minus its polynomial's value at
-        # z = l, read along the one path b = 0 in a pass over the levels
-        coeffs, shifted = root, []
-        for (checks, spread, child_width), l in zip(levels, lift):
-            pw = _powers((0,), scale, l, top)[0]
-            starts = []
-            for terms, _ in checks:
-                value = 0
-                for s, k in terms:
-                    value -= coeffs[s] * pw[k]
-                starts.append((terms, value))
-            shifted.append((starts, spread, child_width))
-            child = coeffs[:child_width]
-            for s, cs, k in spread:
-                child[cs] += coeffs[s] * pw[k]
-            coeffs = child
-        levels = shifted
     values = tuple(values)
-    powers = [_powers(values, scale, l, top) for l in lift]
+    powers = _powers(values, max(live, default=0))
     stack = [((), root)]
     while stack:
         prefix, coeffs = stack.pop()
-        depth = len(prefix)
-        checks, spread, width = levels[depth]
+        checks, spread, width = levels[len(prefix)]
         children = []
-        for v, pw in zip(values, powers[depth]):
-            for terms, c in checks:
+        for v, pw in zip(values, powers):
+            for terms in checks:
+                c = 0
                 for i, k in terms:
                     c += coeffs[i] * pw[k]
                 if (c % mod if mod else c):
@@ -309,12 +271,11 @@ def _scan(ring: BottRing, pieces: dict, values, mod=0, shift=None):
 
 
 @lru_cache(maxsize=128)
-def _powers(values: tuple, scale: int, offset: int, top: int) -> tuple:
-    """Per v in ``values``, the powers (scale * v + offset)^k for k <= top.
-    A search reuses a few dozen tables; the bound keeps a long search at a
-    large bound from holding on to many tables of (2 bound + 1) rows."""
-    return tuple(tuple((scale * v + offset)**k for k in range(top + 1))
-                 for v in values)
+def _powers(values: tuple, top: int) -> tuple:
+    """Per v in ``values``, the powers v^k for k <= top.  A search reuses a
+    few tables; the bound keeps a long search at a large bound from holding
+    on to many tables of (2 bound + 1) rows."""
+    return tuple(tuple(v**k for k in range(top + 1)) for v in values)
 
 
 def _check_bound(bound) -> range:
@@ -345,8 +306,8 @@ def _stage_record(ring: BottRing, i: int) -> tuple:
     ``(n + 1, c1, reads, higher)``, c1 the pairs (j, a_j) of
     c_1 = sum_j a_j y_(j+1), reads the generators (0-based j < i - 1) that
     the c_q involve, which are the earlier rows of a matrix that row i's
-    relation depends on, and higher the c_q for q >= 2, each times
-    (n + 1)^q.  A CP^1 row is solved from (n + 1, c1) alone
+    relation depends on, and higher the c_q for q >= 2, the term dicts of
+    the stage table.  A CP^1 row is solved from (n + 1, c1) alone
     (:func:`_cp1_rows`), so its reads and higher are empty."""
     chern = ring.chern[i - 1]
     top = ring.dims[i - 1] + 1
@@ -354,9 +315,7 @@ def _stage_record(ring: BottRing, i: int) -> tuple:
     if top == 2:
         return top, c1, (), ()
     reads = tuple(sorted({j for cq in chern for g in cq for j, e in enumerate(g) if e}))
-    higher = tuple({g: c * top**q for g, c in cq.items()}
-                   for q, cq in enumerate(chern[1:], start=2))
-    return top, c1, reads, higher
+    return top, c1, reads, chern[1:]
 
 
 def _lift(c1, rows, m: int) -> tuple:
@@ -369,50 +328,26 @@ def _lift(c1, rows, m: int) -> tuple:
     return tuple(lift)
 
 
-def _stage_relation(target: BottRing, stage: tuple, rows):
-    """Depressed pieces and shift of the scan of row i of an iso_search
-    matrix whose earlier rows are ``rows``, ``stage`` the record of source
-    stage i (:func:`_stage_record`).  The search builds it for stages of
-    fiber n >= 2 only and solves a CP^1 row in closed form
-    (:func:`_cp1_rows`); the formula holds for n = 1 too.
+def _stage_relation(target: BottRing, stage: tuple, rows) -> dict:
+    """Pieces of the scan of row i of an iso_search matrix whose earlier
+    rows are ``rows``, ``stage`` the record of source stage i
+    (:func:`_stage_record`).  The search builds them for stages of fiber
+    n >= 2 only and solves a CP^1 row in closed form (:func:`_cp1_rows`);
+    the formula holds for n = 1 too.
 
     Row i solves f(x) = sum_q c_q x^(n+1-q), c_0 = 1, each c_q mapped
     through the rows of the generators it reads; the image of c_1 is the
-    linear class of l = sum_j a_j rows[j].  The substitution
-    z = (n+1) x + c_1 gives (n+1)^(n+1) f = sum_r D_r z^r with
-    D_(n+1) = 1, D_n = 0 and
-
-        D_r = sum_q (n+1)^q C(n+1-q, r) (-c_1)^(n+1-q-r) c_q,
-
-    computed for 1 <= r < n as the Taylor shift by -c_1 of the coefficients
-    (n+1)^q c_q, the images of the record's scaled c_q; its last step,
-    which only clears D_n, is skipped.  D_0 is not formed: f = x prod_u
-    (x + u) vanishes at x = 0, where z is the image of c_1, so
-    D_0 = -sum_(r>=1) D_r c_1^r, the constant that the shifted walk of
-    :func:`_scan` implies.  The ring is free over Z, so f vanishes exactly
-    where the depressed sum does.  Returns the pieces {r: D_r} (r >= 1) and
-    the shift (n + 1, l) of :func:`_scan`, so that z_j = (n+1) b_j + l_j.
+    linear class of l = sum_j a_j rows[j].  Returns the pieces
+    {n + 1 - q: image of c_q}, all of exponent at least 1, with the zero
+    images left out.
     """
     top, c1, reads, higher = stage
-    lift = _lift(c1, rows, target.height)
-    image = target.linear_class(lift)._c
-    shift = {e: -c for e, c in image.items()}
-    # a[t] = (n+1)^(n+1-t) c_(n+1-t), the coefficients in w = (n+1) x, for
-    # 1 <= t <= n; a[0] = c_(n+1) = 0 is never read, and a[top] = 1 is not
-    # stored
-    a = [{} for _ in range(top - 1)] + [{e: top * c for e, c in image.items()}]
     images = {j: target.linear_class(rows[j]) for j in reads}
-    for q, cq in enumerate(higher, start=2):
-        a[top - q] = image_of_terms(target, images, cq)._c
-    for i in range(top - 1):
-        target._raw_add(a[top - 1], shift)  # shift * a[top]
-        for j in range(top - 2, max(i, 1) - 1, -1):  # j = 0 would form D_0
-            if a[j + 1]:
-                target._raw_add(a[j], target._raw_mul(shift, a[j + 1]))
+    cs = [target.linear_class(_lift(c1, rows, target.height))]
+    cs += [image_of_terms(target, images, cq) for cq in higher]
     pieces = {top: target.one()}
-    pieces.update((t, CohomologyClass(target, a[t]))
-                  for t in range(1, top - 1) if a[t])
-    return pieces, (top, lift)
+    pieces.update((top - q, c) for q, c in enumerate(cs, start=1) if not c.is_zero())
+    return pieces
 
 
 def _square_rewrites(target: BottRing) -> tuple:
@@ -571,14 +506,9 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
     no plan and forms no product, so a search between Bott towers walks no
     scan at all.  Its candidates depend on l alone, so within one call they
     are one sorted list, keyed by l, that every DFS node with that lift
-    reads.  A row of fiber n >= 2 walks its stage relation depressed by
-    z = (n+1) x + c_1, built in one pass from the record and the earlier
-    rows (:func:`_stage_relation`): the scan runs over
-    z_j = (n+1) b_j + l_j and yields b.  The ring is free over Z, so no
-    solution is lost, and z is increasing in b, so the order and the first
-    witness are kept.  x = 0 solves each relation, so the constant of the
-    depressed relation is minus the value of its other terms at z = l,
-    which the walk implies and no row forms.  Its candidates are a lazily
+    reads.  A row of fiber n >= 2 walks its stage relation as it stands,
+    the pieces {n + 1 - q: image of c_q} built from the record and the
+    earlier rows (:func:`_stage_relation`).  Its candidates are a lazily
     walked stream per stage image: the pieces depend only on the earlier
     rows that the c_q of stage i read (the reads of the record), so within
     one call every DFS node with the same such rows gets an independent
@@ -629,8 +559,7 @@ def iso_search(ring: BottRing, ring_prime: BottRing, bound: int) -> IsoWitness |
         key = (depth, tuple(rows[j] for j in stage[2]))
         stream = streams.get(key)
         if stream is None:
-            pieces, shift = _stage_relation(target, stage, rows)
-            walk = _scan(target, pieces, values, 0, shift)
+            walk = _scan(target, _stage_relation(target, stage, rows), values)
             stream = streams[key] = tee(walk, 1)[0]
         return copy(stream)  # an independent cursor over the shared walk
 

@@ -6,11 +6,7 @@ sharing no code with the package's stage table or rewriting engine.  The
 randomized reducer exercises arbitrary reduction orders to check
 confluence.  The brute-force scan evaluates the scan
 expression in the ring once per coefficient vector, sharing no code with
-the package's polynomial expansion; a shifted expression less its value
-at z = l is evaluated there too, where the package reads that value along
-its walk.  The reference Taylor shift forms every depressed piece of a
-stage relation, D_0 included, with class arithmetic, where the package
-forms D_1..D_(n-1) on raw term dicts and implies D_0.  The brute-force minors gcd computes
+the package's polynomial expansion.  The brute-force minors gcd computes
 every maximal minor by its own determinant, where the package reduces
 columns.  The brute-force isomorphism search splits each relation's terms
 by the exponent of y_i, where the package reads the pieces from the Chern
@@ -147,29 +143,20 @@ def random_order_reduce(ring, terms, rng) -> dict:
     return out
 
 
-def brute_force_scan(ring, pieces, tmax, values, shift=None) -> list:
+def brute_force_scan(ring, pieces, tmax, values) -> list:
     """All nonzero b in values^m, in lexicographic order, with
-    sum_t pieces[t] * (sum_j z_j y_j)^t == 0, by Horner's rule in the ring,
-    where z = b; or, for ``shift`` = (s, l), z_j = s * b_j + l_j and the
-    expression less its value at z = l, sum_t pieces[t] * (h^t - L^t) for
-    h and L the linear classes of z and l."""
+    sum_t pieces[t] * (sum_j b_j y_j)^t == 0, by Horner's rule in the ring."""
     zero = ring.zero()
     piece_list = [pieces.get(t, zero) for t in range(tmax + 1)]
-    scale, lift = shift or (1, (0,) * ring.height)
-
-    def horner(h):
-        acc = piece_list[tmax]
-        for t in range(tmax - 1, -1, -1):
-            acc = acc * h + piece_list[t]
-        return acc
-
-    offset = horner(ring.linear_class(lift))
     out = []
     for vec in product(values, repeat=ring.height):
         if not any(vec):
             continue
-        h = ring.linear_class([scale * b + l for b, l in zip(vec, lift)])
-        if (horner(h) - offset).is_zero():
+        h = ring.linear_class(vec)
+        acc = piece_list[tmax]
+        for t in range(tmax - 1, -1, -1):
+            acc = acc * h + piece_list[t]
+        if acc.is_zero():
             out.append(vec)
     return out
 
@@ -231,30 +218,6 @@ def relation_split(source, target, rows, i) -> dict:
         split.setdefault(e[i - 1], {})[tuple(rest)] = c
     images = [target.linear_class(row) for row in rows]
     return {t: image_of_terms(target, images, part) for t, part in split.items()}
-
-
-def taylor_shift_stage_relation(target, stage, rows) -> dict:
-    """Every depressed piece D_r, D_0 included, of the relation of a source
-    stage record (``search._stage_record``) under earlier ``rows``: the full
-    Taylor shift by -c_1 of the coefficients (n+1)^q c_q, formed in the
-    ring, with D_n = 0 dropped.  A reference for the constant that the
-    shifted walk implies, which the package never forms."""
-    top, c1, reads, higher = stage
-    lift = [0] * target.height
-    for j, c in c1:
-        for k, v in enumerate(rows[j]):
-            lift[k] += c * v
-    image = target.linear_class(lift)
-    w = [target.zero()] * (top + 1)  # w[t]: the coefficient of ((n+1) x)^t
-    w[top], w[top - 1] = target.one(), top * image
-    images = {j: target.linear_class(rows[j]) for j in reads}
-    for q, cq in enumerate(higher, start=2):
-        w[top - q] = image_of_terms(target, images, cq)
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            w[j] = w[j] - image * w[j + 1]
-    assert w[top - 1].is_zero()
-    return {t: p for t, p in enumerate(w) if t != top - 1 and not p.is_zero()}
 
 
 def brute_force_iso_search(ring, ring_prime, bound):

@@ -47,7 +47,6 @@ from .oracles import (
     full_residue_square_zero_count,
     relation_split,
     sympy_relation,
-    taylor_shift_stage_relation,
 )
 
 # the modulus of the oracle's ring (0 for Z): a walk of the integer ring
@@ -230,20 +229,20 @@ def test_iso_search_first_witness_is_lex_minimal():
 # -- scan parity against the per-vector oracle ---------------------------------
 
 
-def walk_parity(ring, pieces, values, mod=0, shift=None):
+def walk_parity(ring, pieces, values, mod=0):
     """The walk of the integer ``ring`` modulo ``mod`` (0 for none) agrees
-    with the oracle on the ring over Z/mod (over Z for 0), the pieces and
-    the shift carried over; returns the hits."""
+    with the oracle on the ring over Z/mod (over Z for 0), the pieces
+    carried over; returns the hits."""
     oracle = build_ring(ring.tower, mod)
     carried = {t: oracle.from_terms(dict(p.items())) for t, p in pieces.items()}
-    expected = brute_force_scan(oracle, carried, max(pieces, default=0), values, shift)
-    got = list(_scan(ring, pieces, values, mod, shift))
-    assert got == expected, (mod, ring, pieces, values, shift)
+    expected = brute_force_scan(oracle, carried, max(pieces, default=0), values)
+    got = list(_scan(ring, pieces, values, mod))
+    assert got == expected, (mod, ring, pieces, values)
     return got
 
 
-def scan_parity(ring, pieces, bound, mod=0, shift=None):
-    return walk_parity(ring, pieces, range(-bound, bound + 1), mod, shift)
+def scan_parity(ring, pieces, bound, mod=0):
+    return walk_parity(ring, pieces, range(-bound, bound + 1), mod)
 
 
 @pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
@@ -292,29 +291,29 @@ def test_scan_matches_oracle_with_gaps_in_t(mod):
     ]
     for pieces in cases:
         scan_parity(ring, pieces, 2, mod)
-        # a shifted walk starts its checks at nonzero values
-        scan_parity(ring, pieces, 2, mod, (2, (1, 0, -1)))
 
 
 @pytest.mark.parametrize("mod", DOMAINS, ids=mod_label)
 def test_scan_rejects_at_the_first_coordinate(mod):
-    # h^2 y2 y3 = z1^2 y1^2 y2 y3 in CP^2 x (CP^1)^2: shifted by z1 = b1 + 1,
-    # the only polynomial, (b1 + 1)^2 - 1, starts at -1, involves b1 alone
-    # and is settled by the first coordinate
+    # h^2 y2 y3 + 2 h y1 y2 y3 = (b1^2 + 2 b1) y1^2 y2 y3 in CP^2 x (CP^1)^2:
+    # the only polynomial involves b1 alone and is settled by the first
+    # coordinate
     ring = build_ring(product_tower((2, 1, 1)))
-    _, y2, y3 = ring.gens()
-    hits = scan_parity(ring, {2: y2 * y3}, 2, mod, (1, (1, 0, 0)))
+    y1, y2, y3 = ring.gens()
+    hits = scan_parity(ring, {2: y2 * y3, 1: 2 * (y1 * y2 * y3)}, 2, mod)
     firsts = {v[0] for v in hits}
     assert firsts == ({-2, 0} if mod == 0 else {-2, 0, 2}), firsts
     # every completion b2, b3 of an accepted b1 is a hit, but for b = 0
     assert len(hits) == 25 * len(firsts) - 1
 
 
-@pytest.mark.parametrize("mod", [0, 2], ids=mod_label)
+@pytest.mark.parametrize("mod", [0, 2, 3], ids=mod_label)
 def test_scan_matches_oracle_on_iso_search_stage_splits(mod):
     # replay the stage-by-stage search on prefixes of up to four hits per
     # stage, plus one zero row per stage, which kills the lower pieces of
-    # the next stage's split
+    # the next stage's split.  On G123 and its top-stage dual, the pieces
+    # are the package's own stage relations: walked mod 2 and 3, their CP^2
+    # and CP^3 rows are those of a residue search over Z/n
     pairs = [
         (hirzebruch(1), hirzebruch(3)),
         (bott_tower_3(1, 1, 1), bott_tower_3(1, -1, -1)),
@@ -322,6 +321,7 @@ def test_scan_matches_oracle_on_iso_search_stage_splits(mod):
         (product_tower((1, 2)), product_tower((2, 1))),
         (validate_tower([(1, []), (2, [[1], [3]])]),
          validate_tower([(1, []), (2, [[-3], [-2]])])),
+        (G123, G123_DUAL),
     ]
     bound = 1
     for t, tp in pairs:
@@ -331,7 +331,10 @@ def test_scan_matches_oracle_on_iso_search_stage_splits(mod):
         for i in range(1, m + 1):
             extended = []
             for rows in prefixes:
-                pieces = relation_split(source, target, rows, i)
+                if tp is G123_DUAL:
+                    pieces = _stage_relation(target, _stage_record(source, i), rows)
+                else:
+                    pieces = relation_split(source, target, rows, i)
                 hits = scan_parity(target, pieces, bound, mod)
                 extended += [rows + [row] for row in hits[:4]]
             if i < m:
@@ -351,11 +354,11 @@ def test_scan_matches_oracle_on_iso_search_stage_splits(mod):
 )
 def test_iso_search_matches_oracle_scan(t, tp, bound, monkeypatch):
     # every row from the brute-force scan: a CP^1 row of x^2 + L x, a row of
-    # fiber >= 2 of the shifted pieces
+    # fiber >= 2 of its stage relation
     got = iso_search(build_ring(t), build_ring(tp), bound)
     target = build_ring(t)
-    monkeypatch.setattr(search, "_scan", lambda ring, pieces, values, mod, shift:
-                        brute_force_scan(ring, pieces, max(pieces), values, shift))
+    monkeypatch.setattr(search, "_scan", lambda ring, pieces, values:
+                        brute_force_scan(ring, pieces, max(pieces), values))
     monkeypatch.setattr(search, "_cp1_rows", lambda rewrites, lift, values: brute_force_scan(
         target, {2: target.one(), 1: target.linear_class(lift)}, 2, values))
     expected = iso_search(target, build_ring(tp), bound)
@@ -552,36 +555,33 @@ def test_iso_search_prunes_one_single_row_per_candidate(t, tp, monkeypatch):
 # term linear in y_2
 GEN = validate_tower([(1, []), (2, [[1], [3]]), (1, [[2, -1]])])
 GEN_DUAL = GEN.replace_stage(3, dualize_stage(GEN.stages[-1]))
+# CP^1, CP^2 and CP^3 stages; the dual's stage 3 is [[-3, 0], [-1, -2], [-1, -2]]
+G123 = validate_tower([(1, []), (2, [[0], [2]]), (3, [[-1, -2], [0, 0], [2, -2]])])
+G123_DUAL = G123.replace_stage(3, dualize_stage(G123.stages[-1]))
 WALK = bott_tower([[], [1], [-1, 2], [0, 1, -2]])
 
 
 def test_stage_relation_is_the_relation_split(rng):
-    # the depressed relation built from the stage record is the relation's
-    # terms split by the exponent t of y_i, after z = s h + L, less its value
-    # at h = 0 (where the relation vanishes): for random earlier rows and
-    # degree-2 classes h, with L the image of c_1,
-    # sum_(r>=1) D_r ((s h + L)^r - L^r) == s^s sum_t split_t h^t
-    towers = [GEN] + CENSUS_3 + [
+    # the pieces built from the stage record are the relation's terms split
+    # by the exponent t of y_i and mapped by the earlier rows, with the
+    # zero pieces left out: for random earlier rows, and for zero rows,
+    # which send every piece but y_i^(n+1) to zero
+    towers = [GEN, G123] + CENSUS_3 + [
         random_tower(rng, max_height=4, max_dim=3) for _ in range(30)]
+    dropped = 0
     for tower in towers:
         ring = build_ring(tower)
         m = ring.height
         for i in range(1, m + 1):
-            n = ring.dims[i - 1]
             rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
-            depressed, (s, lift) = _stage_relation(ring, _stage_record(ring, i), rows)
+            if not rng.randrange(4):
+                rows = [(0,) * m] * (i - 1)
             split = relation_split(ring, ring, rows, i)
-            assert s == n + 1 and depressed[s] == ring.one()
-            assert n not in depressed and 0 not in depressed
-            lin = ring.linear_class(lift)
-            assert lin == split.get(n, ring.zero()), (tower, rows, i)
-            for _ in range(3):
-                h = ring.linear_class([rng.randint(-3, 3) for _ in range(m)])
-                z = s * h + lin
-                lhs = sum((d * (z**r - lin**r) for r, d in depressed.items()),
-                          ring.zero())
-                rhs = sum((p * h**t for t, p in split.items()), ring.zero())
-                assert lhs == s**s * rhs, (tower, rows, i, h)
+            pieces = _stage_relation(ring, _stage_record(ring, i), rows)
+            assert pieces == {t: p for t, p in split.items() if not p.is_zero()}, (
+                tower, rows, i)
+            dropped += len(pieces) < len(split)
+    assert dropped >= 10, dropped
 
 
 # stages whose c_1 vanishes: y2 (y2 + y1)(y2 - y1), and
@@ -592,14 +592,12 @@ C1_ZERO = [
 ]
 
 
-def test_depressed_stage_relation_is_the_scaled_relation(rng):
-    # z = (n+1) x + c_1 turns (n+1)^(n+1) f_i(x) into sum_r D_r z^r with no
-    # z^n term, and f_i(0) = 0 makes D_0 = -sum_(r>=1) D_r c_1^r:
-    # sum_(r>=1) D_r (z^r - c_1^r) is checked at a random x in the ring
-    # itself, where the earlier relations hold, against the relation
-    # expanded by sympy.  For random earlier rows, the shifted walk of the
-    # depressed pieces, which implies D_0, must find the rows of the
-    # oracle's scan of the undepressed pieces, in order
+def test_stage_relation_is_the_sympy_relation(rng):
+    # sum_t pieces[t] x^t at a random x in the ring itself, where the
+    # earlier relations hold, is the relation expanded by sympy
+    # (sympy_relation) under the identity rows.  For random earlier rows,
+    # the walk of the pieces must find the rows of the oracle's scan of
+    # the relation_split, in order
     towers = [GEN] + C1_ZERO + [
         validate_tower([(3, []), (2, [[1], [2]])]),
         validate_tower([(1, []), (1, [[1]]), (2, [[1, -1], [0, 2]]), (1, [[1, 0, -1]])]),
@@ -619,56 +617,26 @@ def test_depressed_stage_relation_is_the_scaled_relation(rng):
         identity = [tuple(int(j == k) for k in range(m)) for j in range(m)]
         for i in range(2, m + 1):
             n = ring.dims[i - 1]
-            depressed, (scale, lift) = _stage_relation(
-                ring, _stage_record(ring, i), identity)
-            assert scale == n + 1 and depressed[n + 1] == ring.one()
-            assert n not in depressed and 0 not in depressed
+            pieces = _stage_relation(ring, _stage_record(ring, i), identity)
+            assert pieces[n + 1] == ring.one() and min(pieces) >= 1
             x = ring.linear_class([rng.randint(-3, 3) for _ in range(m)])
-            lin = ring.linear_class(lift)
-            z = scale * x + lin
             images = list(ring.gens()[:i - 1]) + [x]
             relation = image_of_terms(ring, images, sympy_relation(tower, i))
-            assert sum((d * (z**r - lin**r) for r, d in depressed.items()),
-                       ring.zero()) == scale ** scale * relation, (tower, i)
+            assert sum((p * x**t for t, p in pieces.items()),
+                       ring.zero()) == relation, (tower, i)
             rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
-            pieces = relation_split(ring, ring, rows, i)
-            depressed, (scale, lift) = _stage_relation(ring, _stage_record(ring, i), rows)
-            assert ring.linear_class(lift) == pieces.get(n, ring.zero())
-            hits = list(_scan(ring, depressed, values, 0, (scale, lift)))
-            assert hits == brute_force_scan(ring, pieces, n + 1, values), (tower, rows, i)
+            pieces = _stage_relation(ring, _stage_record(ring, i), rows)
+            hits = list(_scan(ring, pieces, values))
+            split = relation_split(ring, ring, rows, i)
+            assert hits == brute_force_scan(ring, split, n + 1, values), (tower, rows, i)
             walked[bool(hits)] += 1
     assert min(walked.values()) >= 5, walked
 
 
-def test_implied_constant_is_the_taylor_shift_constant(rng):
-    # the pieces r >= 1 are those of the full Taylor shift formed in the
-    # ring, and the constant the shifted walk implies, minus the value of
-    # those pieces at z = L, is the reference's D_0: for random earlier
-    # rows, -sum_(r>=1) D_r L^r == D_0, with L the image of c_1
-    towers = [GEN] + C1_ZERO + CENSUS_3 + [
-        random_tower(rng, max_height=4, max_dim=3) for _ in range(30)]
-    constants = {True: 0, False: 0}
-    for tower in towers:
-        ring = build_ring(tower)
-        m = ring.height
-        for i in range(1, m + 1):
-            rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(i - 1)]
-            stage = _stage_record(ring, i)
-            depressed, (_, lift) = _stage_relation(ring, stage, rows)
-            reference = taylor_shift_stage_relation(ring, stage, rows)
-            constant = reference.pop(0, ring.zero())
-            assert depressed == reference, (tower, rows, i)
-            lin = ring.linear_class(lift)
-            implied = -sum((d * lin**r for r, d in depressed.items()), ring.zero())
-            assert implied == constant, (tower, rows, i)
-            constants[constant.is_zero()] += 1
-    assert min(constants.values()) >= 30, constants
-
-
 def test_cp1_stage_relation_needs_no_ring_arithmetic(monkeypatch):
     # a CP^1 row is solved from the lift alone, with no ring arithmetic,
-    # and finds the rows of the shifted {2: 1} walk it replaces; a stage of
-    # fiber >= 2 still forms its D_r in the ring
+    # and finds the rows of the {2: 1, 1: L} walk it replaces; a stage of
+    # fiber >= 2 still forms its pieces in the ring
     calls = []
     for name in ("_raw_mul", "_raw_add", "linear_class", "_monomial_nf"):
         def counted(self, *args, _name=name, _real=getattr(BottRing, name)):
@@ -692,12 +660,14 @@ def test_cp1_stage_relation_needs_no_ring_arithmetic(monkeypatch):
             assert not calls, (tower, i, calls)
             (row,) = tower.stages[i - 1].summand_exponents
             assert lift == tuple(sum(a * r[k] for a, r in zip(row, rows)) for k in range(m))
-            assert found == list(_scan(ring, {2: ring.one()}, values, 0, (2, lift)))
-    ring = build_ring(GEN)
-    stage = _stage_record(ring, 2)
+            pieces = {2: ring.one(), 1: ring.linear_class(lift)}
+            assert found == list(_scan(ring, pieces, values))
+    ring = build_ring(G123)
+    rows = [(-1, 0, 0), (0, -1, 0)]
     calls.clear()
-    pieces, shift = _stage_relation(ring, stage, [(-1, 0, 0)])
-    assert shift == (3, (-4, 0, 0)) and calls.count("_raw_mul") > 0
+    pieces = _stage_relation(ring, _stage_record(ring, 3), rows)
+    assert calls.count("_raw_mul") > 0
+    assert pieces == relation_split(ring, ring, rows, 3) and len(pieces) == 3
 
 
 def test_row_one_stops_at_the_sign_midpoint(monkeypatch):
@@ -932,7 +902,7 @@ def test_lifted_residue_count_matches_the_full_walk(modulus, rng):
     counts = set()
     for tower in CENSUS_3 + seeded:
         ring = build_ring(tower)
-        count = classify._residue_square_zero_count(ring, modulus)
+        count = _square_zero_residues(_square_rewrites(ring), modulus)
         assert count == full_residue_square_zero_count(ring, modulus), (tower, modulus)
         counts.add(count)
     assert len(counts) > 2, counts
@@ -995,9 +965,9 @@ def test_residue_count_walks_half_the_residues_when_four_divides(monkeypatch):
         return range(*args)
 
     monkeypatch.setattr(search, "range", recording_range, raising=False)
-    ring = build_ring(bott_tower_3(-4, -2, -3))
+    rewrites = _square_rewrites(build_ring(bott_tower_3(-4, -2, -3)))
     for n in (2, 3, 4, 6, 8, 12, 16):
-        classify._residue_square_zero_count(ring, n)
+        _square_zero_residues(rewrites, n)
     assert tried == [n // 2 if n % 4 == 0 else n for n in (2, 3, 4, 6, 8, 12, 16)]
 
 
@@ -1154,13 +1124,11 @@ def test_scan_plan_compiled_once_per_shape(mod, order):
     plan = None
     hits = []
     for pieces in shaped_pieces(ring)[::order]:
-        # a shift changes the starts of the checks, not the plan
-        for shift in (None, (2, (-1, 1, 2))):
-            hits.append(walk_parity(ring, pieces, values, mod, shift))
-            assert len(ring._scan_plans) == 1
-            (current,) = ring._scan_plans.values()
-            assert plan is None or current is plan
-            plan = current
+        hits.append(walk_parity(ring, pieces, values, mod))
+        assert len(ring._scan_plans) == 1
+        (current,) = ring._scan_plans.values()
+        assert plan is None or current is plan
+        plan = current
     assert any(hits)
 
 
@@ -1188,7 +1156,7 @@ def test_iso_search_compiles_one_plan_per_stage_shape(monkeypatch):
         iso_search(target, build_ring(source), 1)
         # every row is CP^1, solved in closed form: no plan is compiled
         assert target._scan_plans == {}
-    # GEN's CP^2 row compiles the plans of its depressed cubic only
+    # GEN's CP^2 row compiles the plans of its cubic stage relation only
     target = build_ring(GEN)
     assert iso_search(target, build_ring(GEN_DUAL), 2) is not None
     assert target._scan_plans and all(max(t for t, _ in shape) == 3
@@ -1228,8 +1196,7 @@ def plan_polynomials(plan):
             assert k >= 1 and s >= child_width and 0 <= c < child_width, (j, s, c, k)
             assert s not in route, (j, s)
             route[s] = (k, c)
-        for i, (terms, start) in enumerate(checks):
-            assert start == 0
+        for i, terms in enumerate(checks):
             for s, k in terms:
                 assert s >= child_width and s not in route, (j, s)
                 route[s] = (k, (j, i))
@@ -1317,8 +1284,8 @@ def test_scan_plans_carry_the_child_slots(rng):
             if ring.dims[i - 1] in (2, 3):
                 rows = [tuple(rng.randint(-2, 2) for _ in range(ring.height))
                         for _ in range(i - 1)]
-                pieces, shift = _stage_relation(ring, _stage_record(ring, i), rows)
-                list(_scan(ring, pieces, range(1), 0, shift))
+                pieces = _stage_relation(ring, _stage_record(ring, i), rows)
+                list(_scan(ring, pieces, range(1)))
                 stages += 1
         assert_plan_layout(ring, rng)
     assert stages == 4
@@ -1366,26 +1333,6 @@ def test_rings_with_other_zero_patterns_get_other_walks():
         assert walks[i] != walks[j], (i, j)
 
 
-def test_shifted_walk_leaves_the_shared_walk_as_it_was():
-    # a shifted walk sets nonzero starts of its checks in its own copy of
-    # the levels; the ring that shares its walk must still walk as the
-    # oracle does
-    tower, twist = bott_tower_3(1, -2, 3), bott_tower_3(1, 2, -3)
-    ring, other = build_ring(tower), build_ring(twist)
-    pieces = shaped_pieces(ring)[-1]
-    shift = (2, (1, -1, 2))
-    values = range(-2, 3)
-    got = list(_scan(ring, pieces, values, 0, shift))
-    assert got == brute_force_scan(ring, pieces, 2, values, shift)
-    ((shape, (_, levels, _)),) = ring._scan_plans.items()
-    assert all(start == 0 for checks, _, _ in levels for _, start in checks)
-    for pieces in [{2: other.one()}] + shaped_pieces(other):
-        walk_parity(other, pieces, values)
-        for n in (2, 4, 8):
-            walk_parity(other, pieces, range(n), n)
-    assert other._scan_plans[shape][1] is levels
-
-
 def test_shared_walk_parts_are_tuples():
     ring = build_ring(validate_tower([(1, []), (2, [[1], [-1]]), (1, [[0, 2]])]))
     list(_scan(ring, {2: ring.one(), 1: ring.gen(1)}, range(-1, 2)))
@@ -1395,7 +1342,8 @@ def test_shared_walk_parts_are_tuples():
             checks, spread, child_width = level
             assert isinstance(level, tuple) and isinstance(child_width, int)
             assert isinstance(checks, tuple) and isinstance(spread, tuple)
-            assert all(isinstance(check, tuple) and isinstance(check[0], tuple)
+            assert all(isinstance(check, tuple)
+                       and all(isinstance(term, tuple) for term in check)
                        for check in checks)
             assert all(isinstance(entry, tuple) for entry in spread)
     supports = (((2, 0), (1, 1)), ((0, 2),))
